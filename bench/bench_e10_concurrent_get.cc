@@ -29,9 +29,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
-#include <iostream>
 #include <optional>
 #include <string>
 #include <thread>
@@ -41,7 +38,7 @@
 #include "dyndb/database.h"
 #include "types/type.h"
 
-#include "provenance.h"
+#include "bench_json.h"
 
 namespace {
 
@@ -191,70 +188,6 @@ void BM_SnapshotAcquire(benchmark::State& state) {
                                            benchmark::Counter::kAvgThreads);
 }
 
-/// Console reporter that also collects every run and dumps them as a
-/// JSON array when the binary exits (same scheme as bench_e1).
-class JsonTeeReporter : public benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const Run& run : runs) {
-      if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
-      Record rec;
-      rec.name = run.benchmark_name();
-      rec.threads = run.threads;
-      rec.ns_per_op =
-          run.iterations > 0
-              ? run.real_accumulated_time / static_cast<double>(run.iterations) *
-                    1e9
-              : 0.0;
-      rec.n = Counter(run, "n");
-      rec.opt_threads = CounterOr(run, "opt_threads", 1.0);
-      rec.items_per_sec = Counter(run, "scan_items_per_sec");
-      records_.push_back(std::move(rec));
-    }
-    ConsoleReporter::ReportRuns(runs);
-  }
-
-  void WriteJson(const std::string& path) const {
-    std::ofstream out(path, std::ios::trunc);
-    if (!out) {
-      std::cerr << "bench_e10: cannot open " << path << " for writing\n";
-      return;
-    }
-    out << "{\"provenance\": " << dbpl::bench::ProvenanceJson()
-        << ",\n \"results\": [\n";
-    for (size_t i = 0; i < records_.size(); ++i) {
-      const Record& r = records_[i];
-      std::string variant = r.name.substr(0, r.name.find('/'));
-      out << "  {\"name\": \"" << r.name << "\", \"variant\": \"" << variant
-          << "\", \"n\": " << static_cast<int64_t>(r.n)
-          << ", \"bench_threads\": " << r.threads
-          << ", \"opt_threads\": " << static_cast<int64_t>(r.opt_threads)
-          << ", \"ns_per_op\": " << r.ns_per_op
-          << ", \"scan_items_per_sec\": " << r.items_per_sec << "}"
-          << (i + 1 < records_.size() ? "," : "") << "\n";
-    }
-    out << "]}\n";
-  }
-
- private:
-  struct Record {
-    std::string name;
-    int threads = 1;
-    double n = 0, opt_threads = 1, ns_per_op = 0, items_per_sec = 0;
-  };
-
-  static double Counter(const Run& run, const char* key) {
-    return CounterOr(run, key, 0.0);
-  }
-  static double CounterOr(const Run& run, const char* key, double fallback) {
-    auto it = run.counters.find(key);
-    return it == run.counters.end() ? fallback
-                                    : static_cast<double>(it->second.value);
-  }
-
-  std::vector<Record> records_;
-};
-
 }  // namespace
 
 BENCHMARK(BM_SnapshotScanPinned)
@@ -293,13 +226,6 @@ BENCHMARK(BM_SnapshotAcquire)
     ->Teardown(TeardownScan);
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  JsonTeeReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read once from main before
-  // any worker thread exists.
-  const char* path = std::getenv("DBPL_BENCH_E10_JSON");
-  reporter.WriteJson(path != nullptr ? path : "BENCH_E10.json");
-  return 0;
+  return dbpl::bench::RunAndWriteJson(argc, argv, "DBPL_BENCH_E10_JSON",
+                                      "BENCH_E10.json");
 }

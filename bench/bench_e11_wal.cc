@@ -3,7 +3,7 @@
 // The claim under test: with persist::WalDatabase the cost of making
 // one insert durable is O(1) — append a redo record + commit marker and
 // fsync — independent of how large the database already is, whereas the
-// snapshot model (persist::SaveDatabase) rewrites the whole image, so
+// snapshot model (persist::SaveSnapshot) rewrites the whole image, so
 // its per-insert durability cost grows with n.
 //
 //  * BM_WalInsertCommit        — insert + synced commit per iteration,
@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -40,7 +39,7 @@
 #include "persist/database_io.h"
 #include "persist/wal_database.h"
 
-#include "provenance.h"
+#include "bench_json.h"
 
 namespace {
 
@@ -152,7 +151,8 @@ void BM_SnapshotSaveAfterInsert(benchmark::State& state) {
   const std::string path = g_ctx->dir + "/image.dbpl";
   for (auto _ : state) {
     g_ctx->db.MustInsertValue(MakeRec(g_ctx->next++));
-    if (!dbpl::persist::SaveDatabase(path, g_ctx->db).ok()) {
+    if (!dbpl::persist::SaveSnapshot(dbpl::storage::Vfs::Default(), path,
+                                     g_ctx->db.GetSnapshot()).ok()) {
       state.SkipWithError("save failed");
       return;
     }
@@ -177,67 +177,6 @@ void BM_WalCheckpoint(benchmark::State& state) {
   state.counters["n"] = static_cast<double>(state.range(0));
   state.counters["every_n"] = 1;
 }
-
-/// Console reporter that also collects every run and dumps them as a
-/// JSON array when the binary exits (same scheme as bench_e10).
-class JsonTeeReporter : public benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const Run& run : runs) {
-      if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
-      Record rec;
-      rec.name = run.benchmark_name();
-      rec.ns_per_op =
-          run.iterations > 0
-              ? run.real_accumulated_time / static_cast<double>(run.iterations) *
-                    1e9
-              : 0.0;
-      rec.n = Counter(run, "n");
-      rec.every_n = CounterOr(run, "every_n", 1.0);
-      rec.commits_per_sec = Counter(run, "commits_per_sec");
-      records_.push_back(std::move(rec));
-    }
-    ConsoleReporter::ReportRuns(runs);
-  }
-
-  void WriteJson(const std::string& path) const {
-    std::ofstream out(path, std::ios::trunc);
-    if (!out) {
-      std::cerr << "bench_e11: cannot open " << path << " for writing\n";
-      return;
-    }
-    out << "{\"provenance\": " << dbpl::bench::ProvenanceJson()
-        << ",\n \"results\": [\n";
-    for (size_t i = 0; i < records_.size(); ++i) {
-      const Record& r = records_[i];
-      std::string variant = r.name.substr(0, r.name.find('/'));
-      out << "  {\"name\": \"" << r.name << "\", \"variant\": \"" << variant
-          << "\", \"n\": " << static_cast<int64_t>(r.n)
-          << ", \"every_n\": " << static_cast<int64_t>(r.every_n)
-          << ", \"ns_per_op\": " << r.ns_per_op
-          << ", \"commits_per_sec\": " << r.commits_per_sec << "}"
-          << (i + 1 < records_.size() ? "," : "") << "\n";
-    }
-    out << "]}\n";
-  }
-
- private:
-  struct Record {
-    std::string name;
-    double n = 0, every_n = 1, ns_per_op = 0, commits_per_sec = 0;
-  };
-
-  static double Counter(const Run& run, const char* key) {
-    return CounterOr(run, key, 0.0);
-  }
-  static double CounterOr(const Run& run, const char* key, double fallback) {
-    auto it = run.counters.find(key);
-    return it == run.counters.end() ? fallback
-                                    : static_cast<double>(it->second.value);
-  }
-
-  std::vector<Record> records_;
-};
 
 }  // namespace
 
@@ -271,13 +210,6 @@ BENCHMARK(BM_WalCheckpoint)
     ->Unit(benchmark::kMicrosecond);
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  JsonTeeReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read once from main before
-  // any worker thread exists.
-  const char* path = std::getenv("DBPL_BENCH_E11_JSON");
-  reporter.WriteJson(path != nullptr ? path : "BENCH_E11.json");
-  return 0;
+  return dbpl::bench::RunAndWriteJson(argc, argv, "DBPL_BENCH_E11_JSON",
+                                      "BENCH_E11.json");
 }

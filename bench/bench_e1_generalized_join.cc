@@ -34,9 +34,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
-#include <iostream>
 #include <string>
 #include <vector>
 
@@ -46,7 +43,7 @@
 #include "relational/ops.h"
 #include "relational/relation.h"
 
-#include "provenance.h"
+#include "bench_json.h"
 
 namespace {
 
@@ -169,70 +166,6 @@ void BM_ClassicalNaturalJoin(benchmark::State& state) {
   state.counters["out_tuples"] = static_cast<double>(out_size);
 }
 
-/// Console reporter that also collects every per-iteration run and
-/// dumps them as a JSON array when the binary exits.
-class JsonTeeReporter : public benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const Run& run : runs) {
-      if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
-      Record rec;
-      rec.name = run.benchmark_name();
-      rec.ns_per_op =
-          run.iterations > 0
-              ? run.real_accumulated_time / static_cast<double>(run.iterations) *
-                    1e9
-              : 0.0;
-      rec.n = Counter(run, "n");
-      rec.partial_pct = Counter(run, "partial_pct");
-      rec.threads = CounterOr(run, "threads", 1.0);
-      rec.out_tuples = Counter(run, "out_tuples");
-      records_.push_back(std::move(rec));
-    }
-    ConsoleReporter::ReportRuns(runs);
-  }
-
-  void WriteJson(const std::string& path) const {
-    std::ofstream out(path, std::ios::trunc);
-    if (!out) {
-      std::cerr << "bench_e1: cannot open " << path << " for writing\n";
-      return;
-    }
-    out << "{\"provenance\": " << dbpl::bench::ProvenanceJson()
-        << ",\n \"results\": [\n";
-    for (size_t i = 0; i < records_.size(); ++i) {
-      const Record& r = records_[i];
-      std::string variant = r.name.substr(0, r.name.find('/'));
-      out << "  {\"name\": \"" << r.name << "\", \"variant\": \"" << variant
-          << "\", \"n\": " << static_cast<int64_t>(r.n)
-          << ", \"partial_pct\": " << static_cast<int64_t>(r.partial_pct)
-          << ", \"threads\": " << static_cast<int64_t>(r.threads)
-          << ", \"ns_per_op\": " << r.ns_per_op
-          << ", \"out_tuples\": " << static_cast<int64_t>(r.out_tuples) << "}"
-          << (i + 1 < records_.size() ? "," : "") << "\n";
-    }
-    out << "]}\n";
-  }
-
- private:
-  struct Record {
-    std::string name;
-    double n = 0, partial_pct = 0, threads = 1, out_tuples = 0;
-    double ns_per_op = 0;
-  };
-
-  static double Counter(const Run& run, const char* key) {
-    return CounterOr(run, key, 0.0);
-  }
-  static double CounterOr(const Run& run, const char* key, double fallback) {
-    auto it = run.counters.find(key);
-    return it == run.counters.end() ? fallback
-                                    : static_cast<double>(it->second.value);
-  }
-
-  std::vector<Record> records_;
-};
-
 }  // namespace
 
 BENCHMARK(BM_GeneralizedJoin)
@@ -254,13 +187,6 @@ BENCHMARK(BM_ClassicalNaturalJoin)
     ->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  JsonTeeReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read once from main before
-  // any worker thread exists.
-  const char* path = std::getenv("DBPL_BENCH_E1_JSON");
-  reporter.WriteJson(path != nullptr ? path : "BENCH_E1.json");
-  return 0;
+  return dbpl::bench::RunAndWriteJson(argc, argv, "DBPL_BENCH_E1_JSON",
+                                      "BENCH_E1.json");
 }

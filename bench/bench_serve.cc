@@ -19,7 +19,7 @@
 //
 // Results go to BENCH_SERVE.json (override with DBPL_BENCH_SERVE_JSON)
 // with provenance. Honesty note: this host serializes everything —
-// clients, workers, dispatcher — onto its core count (see
+// client threads and server workers — onto its core count (see
 // "host_cores" in the provenance stamp); with 1 core the connection
 // sweep measures protocol + scheduling overhead under contention, not
 // parallel speedup. The closed loop means offered load self-throttles:

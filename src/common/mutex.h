@@ -47,12 +47,11 @@ enum class LockRank : int {
   /// Rank-check exempt: a Mutex constructed without a rank composes
   /// with any acquisition order (used outside the concurrent core).
   kUnranked = 0,
-  /// serve::Server::mu_ — session table, ready queue and stop flag of
-  /// the network front-end. The outermost rank: a worker that drained
-  /// a request goes on to execute it against the database (whose write
-  /// path re-enters the replica/WAL/shard stack), so the serve lock
-  /// must sit below everything — and by design it is never held across
-  /// request execution or any I/O at all.
+  /// serve::Server::mu_ (session table and stop flag) and each
+  /// Session::mu (held across one service turn). The outermost rank: a
+  /// turn executes requests against the database (whose write path
+  /// re-enters the replica/WAL/shard stack), so the serve locks must
+  /// sit below everything. The two are never held together.
   kServe = 5,
   /// persist::Replica::mu_ — held across whole poll/bootstrap cycles,
   /// which re-enter the primary's WAL bounds and the follower's write
@@ -115,10 +114,12 @@ class DBPL_CAPABILITY("mutex") Mutex {
   }
 
   void Unlock() DBPL_RELEASE() {
-    mu_.unlock();
+    // Bookkeeping first: once unlocked, another thread may destroy the
+    // mutex, so its members must not be read after mu_.unlock().
 #if DBPL_LOCK_RANK_CHECKS
     if (rank_ != LockRank::kUnranked) internal::RankCheckRelease(rank_);
 #endif
+    mu_.unlock();
   }
 
   // BasicLockable spelling, so std::condition_variable_any (see

@@ -24,27 +24,11 @@ namespace dbpl::persist {
 /// mid-insert state.
 Status SaveSnapshot(storage::Vfs* vfs, const std::string& path,
                     const dyndb::Database::Snapshot& snap);
-inline Status SaveSnapshot(const std::string& path,
-                           const dyndb::Database::Snapshot& snap) {
-  return SaveSnapshot(storage::Vfs::Default(), path, snap);
-}
 
-/// Convenience: acquires a snapshot of `db` and saves it.
-inline Status SaveDatabase(storage::Vfs* vfs, const std::string& path,
-                           const dyndb::Database& db) {
-  return SaveSnapshot(vfs, path, db.GetSnapshot());
-}
-inline Status SaveDatabase(const std::string& path, const dyndb::Database& db) {
-  return SaveDatabase(storage::Vfs::Default(), path, db);
-}
-
-/// Loads a database written by `SaveSnapshot`/`SaveDatabase`. Entry ids
-/// are assigned afresh in the stored order.
+/// Loads a database written by `SaveSnapshot`. Entry ids are assigned
+/// afresh in the stored order.
 Result<dyndb::Database> LoadDatabase(storage::Vfs* vfs,
                                      const std::string& path);
-inline Result<dyndb::Database> LoadDatabase(const std::string& path) {
-  return LoadDatabase(storage::Vfs::Default(), path);
-}
 
 /// Persists a snapshot *plus its registered-extent table* — the
 /// checkpoint format of the write-ahead durability layer

@@ -146,7 +146,7 @@ Status ApplyWalBatch(dyndb::Database* db, std::vector<WalRecord>* batch,
 
 /// Write-ahead-log durability for dyndb::Database: persistence as an
 /// *incremental* property of the values written, not an O(database)
-/// snapshot rewrite per save (persist::SaveDatabase).
+/// snapshot rewrite per save (persist::SaveSnapshot).
 ///
 /// A WalDatabase owns a dyndb::Database and one storage::LogWriter per
 /// writer shard. It installs the database's write observer, so every

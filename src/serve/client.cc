@@ -1,19 +1,6 @@
 #include "serve/client.h"
 
-#include <cstring>
-
 namespace dbpl::serve {
-
-namespace {
-
-/// Little-endian u32 at `p` (the frame header words).
-uint32_t LoadU32Le(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
-}
-
-}  // namespace
 
 Result<Client> Client::Connect(const std::string& host, uint16_t port) {
   DBPL_ASSIGN_OR_RETURN(Socket sock, ConnectTcp(host, port));
@@ -34,30 +21,25 @@ Result<uint64_t> Client::Send(Request req) {
 }
 
 Result<Response> Client::Await() {
-  // Read the fixed header, bound the claimed length, read the body,
-  // then let InspectFrame re-validate the whole frame (CRC included).
-  uint8_t header[kFrameHeaderBytes];
-  DBPL_RETURN_IF_ERROR(sock_.RecvAll(header, sizeof(header)));
-  const uint32_t body_len = LoadU32Le(header + 4);
-  if (body_len > kMaxFrameBody) {
-    return Status::Corruption("response frame body length " +
-                              std::to_string(body_len) + " exceeds limit");
-  }
-  std::vector<uint8_t> frame(kFrameHeaderBytes + body_len);
-  std::memcpy(frame.data(), header, sizeof(header));
-  if (body_len > 0) {
-    DBPL_RETURN_IF_ERROR(
-        sock_.RecvAll(frame.data() + kFrameHeaderBytes, body_len));
-  }
+  // Read the fixed header, let InspectFrame bound the claimed length,
+  // read the body, then re-inspect the whole frame (CRC included).
+  std::vector<uint8_t> frame(kFrameHeaderBytes);
+  DBPL_RETURN_IF_ERROR(sock_.RecvAll(frame.data(), frame.size()));
   size_t total = 0;
   std::string error;
-  if (InspectFrame(frame.data(), frame.size(), &total, &error) !=
-      FrameStatus::kFrame) {
+  FrameStatus fs = InspectFrame(frame.data(), frame.size(), &total, &error);
+  if (fs == FrameStatus::kNeedMore) {
+    frame.resize(total);
+    DBPL_RETURN_IF_ERROR(sock_.RecvAll(frame.data() + kFrameHeaderBytes,
+                                       total - kFrameHeaderBytes));
+    fs = InspectFrame(frame.data(), total, &total, &error);
+  }
+  if (fs != FrameStatus::kFrame) {
     return Status::Corruption("response frame invalid: " + error);
   }
   DBPL_ASSIGN_OR_RETURN(Response resp,
                         DecodeResponse(frame.data() + kFrameHeaderBytes,
-                                       body_len));
+                                       total - kFrameHeaderBytes));
   if (resp.op == ReqOp::kNone) {
     // Server-initiated: answers no particular request (e.g. shed).
     return resp;

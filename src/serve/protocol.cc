@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/crc32c.h"
 #include "serial/decoder.h"
 #include "serial/encoder.h"
 
@@ -28,12 +27,6 @@ bool OpReturnsEntries(ReqOp op) {
     default:
       return false;
   }
-}
-
-uint32_t LoadU32Le(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
 }
 
 /// Reads and validates the shared `[version][op][id]` message prefix.
@@ -273,51 +266,6 @@ Result<Response> DecodeResponse(const uint8_t* body, size_t n) {
   }
   DBPL_RETURN_IF_ERROR(RequireDrained(in, "response"));
   return resp;
-}
-
-Status EncodeFrame(const ByteBuffer& body, ByteBuffer* out) {
-  if (body.size() > kMaxFrameBody) {
-    // Refuse rather than emit: the peer would reject the frame as
-    // Corruption and lose framing for good — and past 4 GiB the u32
-    // length word would truncate into a CRC-valid lie.
-    return Status::ResourceExhausted(
-        "frame body of " + std::to_string(body.size()) +
-        " bytes exceeds the protocol limit of " +
-        std::to_string(kMaxFrameBody));
-  }
-  out->PutU32(MaskCrc(Crc32c(body.data(), body.size())));
-  out->PutU32(static_cast<uint32_t>(body.size()));
-  out->PutRaw(body.data(), body.size());
-  return Status::OK();
-}
-
-FrameStatus InspectFrame(const uint8_t* data, size_t n, size_t* total,
-                         std::string* error) {
-  if (n < kFrameHeaderBytes) {
-    *total = kFrameHeaderBytes;
-    return FrameStatus::kNeedMore;
-  }
-  const uint32_t masked_crc = LoadU32Le(data);
-  const uint32_t body_len = LoadU32Le(data + 4);
-  if (body_len > kMaxFrameBody) {
-    if (error != nullptr) {
-      *error = "frame body length " + std::to_string(body_len) +
-               " exceeds limit " + std::to_string(kMaxFrameBody);
-    }
-    return FrameStatus::kBad;
-  }
-  const size_t frame_total = kFrameHeaderBytes + body_len;
-  if (n < frame_total) {
-    *total = frame_total;
-    return FrameStatus::kNeedMore;
-  }
-  const uint32_t actual = Crc32c(data + kFrameHeaderBytes, body_len);
-  if (MaskCrc(actual) != masked_crc) {
-    if (error != nullptr) *error = "frame CRC mismatch";
-    return FrameStatus::kBad;
-  }
-  *total = frame_total;
-  return FrameStatus::kFrame;
 }
 
 uint8_t WireCodeOf(StatusCode code) {

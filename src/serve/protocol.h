@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/frame.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "dyndb/database.h"
@@ -26,11 +27,11 @@ namespace dbpl::serve {
 //
 //   [u32 masked crc32c(body)] [u32 body length] [body bytes]
 //
-// Both header words are little-endian; the CRC is masked with the
-// LevelDB rotation (common/crc32c.h) so a frame storing its own CRC
-// has no fixed point. The body length is bounded by kMaxFrameBody: a
-// peer claiming more is a protocol violation, detected from the 8-byte
-// header alone — a hostile length can never drive an allocation.
+// The shared CRC frame of common/frame.h — byte for byte the framing
+// of a WAL record at rest. On the wire the body length is bounded by
+// kMaxFrameBody: a peer claiming more is a protocol violation,
+// detected from the 8-byte header alone — a hostile length can never
+// drive an allocation.
 //
 // ## Message bodies
 //
@@ -52,8 +53,8 @@ namespace dbpl::serve {
 /// an unknown version is answered with kUnsupported and disconnected.
 inline constexpr uint8_t kProtocolVersion = 1;
 
-/// Frame header: masked CRC + body length, both u32 little-endian.
-inline constexpr size_t kFrameHeaderBytes = 8;
+using dbpl::FrameStatus;
+using dbpl::kFrameHeaderBytes;
 
 /// Upper bound on a frame body. Chosen to fit any plausible request
 /// (a single entry or a modest result set) while keeping a hostile
@@ -154,39 +155,20 @@ void EncodeResponse(const Response& resp, ByteBuffer* out);
 Result<Request> DecodeRequest(const uint8_t* body, size_t n);
 Result<Response> DecodeResponse(const uint8_t* body, size_t n);
 
-/// Wraps a message body in a frame: masked CRC, length, body.
-/// A body larger than kMaxFrameBody is refused with
-/// kResourceExhausted and `out` is left untouched — the peer's
-/// InspectFrame would reject such a frame as unrecoverable Corruption
-/// (and a ≥ 4 GiB body would silently truncate its u32 length word
-/// into a CRC-valid lie), so the oversize must be answered in-band
+/// Wraps a message body in a wire frame (common/frame.h). A body
+/// larger than kMaxFrameBody is refused with kResourceExhausted and
+/// `out` is left untouched, so the oversize can be answered in-band
 /// instead of framed.
-Status EncodeFrame(const ByteBuffer& body, ByteBuffer* out);
+inline Status EncodeFrame(const ByteBuffer& body, ByteBuffer* out) {
+  return dbpl::EncodeFrame(body.data(), body.size(), kMaxFrameBody, out);
+}
 
-/// Outcome of inspecting a byte stream's head for one frame.
-enum class FrameStatus : uint8_t {
-  /// A whole, CRC-valid frame is present.
-  kFrame,
-  /// The buffer holds a frame prefix; read more bytes.
-  kNeedMore,
-  /// The header claims an oversized body or the CRC does not match —
-  /// the stream is unrecoverable (framing is lost for good).
-  kBad,
-};
-
-/// Inspects the start of `data` for one complete frame, without
-/// consuming anything.
-///
-///  * kFrame:    `*total` = the frame's full size (header + body); its
-///               body is `data + kFrameHeaderBytes .. data + *total`.
-///  * kNeedMore: `*total` = total bytes needed before re-inspecting
-///               (kFrameHeaderBytes until the header is complete).
-///  * kBad:      `*error` names the violation; `*total` is unchanged.
-///
-/// Never allocates and never trusts the length field beyond bounding
-/// it, so hostile headers cost O(1) to reject.
-FrameStatus InspectFrame(const uint8_t* data, size_t n, size_t* total,
-                         std::string* error);
+/// Inspects the start of `data` for one complete wire frame
+/// (dbpl::InspectFrame with the kMaxFrameBody limit).
+inline FrameStatus InspectFrame(const uint8_t* data, size_t n, size_t* total,
+                                std::string* error) {
+  return dbpl::InspectFrame(data, n, kMaxFrameBody, total, error);
+}
 
 /// Status code <-> stable wire byte. Unknown wire bytes decode as
 /// kInternal (a peer newer than us reported something we cannot

@@ -1,7 +1,8 @@
 #include "serve/server.h"
 
 #include <fcntl.h>
-#include <poll.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -19,12 +20,8 @@ namespace {
 constexpr size_t kMaxReadPerTurn = 256 * 1024;
 constexpr size_t kRecvChunkBytes = 16 * 1024;
 
-Status SetFdNonBlocking(int fd) {
-  int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    return Status::IoError(std::string("fcntl: ") + std::strerror(errno));
-  }
-  return Status::OK();
+Status ErrnoStatus(const char* what) {
+  return Status::IoError(std::string(what) + ": " + std::strerror(errno));
 }
 
 }  // namespace
@@ -46,22 +43,27 @@ Result<std::unique_ptr<Server>> Server::Start(persist::WalDatabase* wdb,
 }
 
 Status Server::StartLocked() {
-  if (::pipe(wake_fd_) != 0) {
-    return Status::IoError(std::string("pipe: ") + std::strerror(errno));
-  }
-  DBPL_RETURN_IF_ERROR(SetFdNonBlocking(wake_fd_[0]));
-  DBPL_RETURN_IF_ERROR(SetFdNonBlocking(wake_fd_[1]));
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epoll_fd_ < 0) return ErrnoStatus("epoll_create1");
+  stop_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (stop_fd_ < 0) return ErrnoStatus("eventfd");
+  DBPL_RETURN_IF_ERROR(Arm(EPOLL_CTL_ADD, stop_fd_, EPOLLIN, &stop_fd_));
 
   if (options_.listen) {
     DBPL_ASSIGN_OR_RETURN(
         listener_,
         Listener::Listen(options_.host, options_.port, options_.backlog));
-    DBPL_RETURN_IF_ERROR(SetFdNonBlocking(listener_.fd()));
+    const int flags = ::fcntl(listener_.fd(), F_GETFL, 0);
+    if (flags < 0 ||
+        ::fcntl(listener_.fd(), F_SETFL, flags | O_NONBLOCK) < 0) {
+      return ErrnoStatus("fcntl");
+    }
     port_ = listener_.port();
+    DBPL_RETURN_IF_ERROR(
+        Arm(EPOLL_CTL_ADD, listener_.fd(), EPOLLIN, &listener_));
   }
 
   started_.store(true, std::memory_order_release);
-  dispatcher_ = std::thread([this] { DispatcherLoop(); });
   workers_.reserve(static_cast<size_t>(options_.workers));
   for (int i = 0; i < options_.workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -69,7 +71,12 @@ Status Server::StartLocked() {
   return Status::OK();
 }
 
-Server::~Server() { Stop(); }
+Server::~Server() {
+  Stop();
+  for (int fd : {epoll_fd_, stop_fd_}) {
+    if (fd >= 0) ::close(fd);
+  }
+}
 
 void Server::Stop() {
   if (!started_.exchange(false, std::memory_order_acq_rel)) return;
@@ -77,24 +84,14 @@ void Server::Stop() {
     MutexLock lock(&mu_);
     stop_ = true;
   }
-  ready_cv_.NotifyAll();
-  WakeDispatcher();
-  if (dispatcher_.joinable()) dispatcher_.join();
+  const uint64_t one = 1;
+  (void)!::write(stop_fd_, &one, sizeof(one));
   for (std::thread& w : workers_) {
     if (w.joinable()) w.join();
   }
   listener_.Close();
-  {
-    MutexLock lock(&mu_);
-    sessions_.clear();  // RAII closes every socket; clients see EOF
-    ready_.clear();
-  }
-  for (int& fd : wake_fd_) {
-    if (fd >= 0) {
-      ::close(fd);
-      fd = -1;
-    }
-  }
+  MutexLock lock(&mu_);
+  sessions_.clear();  // RAII closes every socket; clients see EOF
 }
 
 Status Server::AdoptConnection(Socket sock) {
@@ -120,66 +117,33 @@ ServerStats Server::stats() const {
   return out;
 }
 
-void Server::WakeDispatcher() {
-  char byte = 1;
-  // A full pipe means a wakeup is already pending; either way the
-  // dispatcher will come around.
-  (void)!::write(wake_fd_[1], &byte, 1);
+Status Server::Arm(int op, int fd, uint32_t events, void* tag) {
+  struct epoll_event ev = {};
+  ev.events = events | EPOLLONESHOT;
+  ev.data.ptr = tag;
+  if (::epoll_ctl(epoll_fd_, op, fd, &ev) != 0) {
+    return ErrnoStatus("epoll_ctl");
+  }
+  return Status::OK();
 }
 
-void Server::DispatcherLoop() {
-  std::vector<struct pollfd> pfds;
-  std::vector<uint64_t> ids;
+void Server::WorkerLoop() {
   while (true) {
-    pfds.clear();
-    ids.clear();
-    pfds.push_back({wake_fd_[0], POLLIN, 0});
-    const bool listening = listener_.valid();
-    if (listening) pfds.push_back({listener_.fd(), POLLIN, 0});
-    const size_t base = pfds.size();
-    {
-      MutexLock lock(&mu_);
-      if (stop_) return;
-      for (const auto& [id, session] : sessions_) {
-        if (session->state == SessionState::kIdle) {
-          pfds.push_back({session->sock.fd(), POLLIN, 0});
-          ids.push_back(id);
-        }
-      }
+    struct epoll_event ev;
+    const int n = ::epoll_wait(epoll_fd_, &ev, 1, -1);
+    if (n < 0 && errno != EINTR) return;  // unrecoverable; Stop tears down
+    if (n <= 0) continue;
+    if (ev.data.ptr == &stop_fd_) {
+      // Pass the stop on to the next worker, then exit.
+      (void)Arm(EPOLL_CTL_MOD, stop_fd_, EPOLLIN, &stop_fd_);
+      return;
     }
-
-    int rc = ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), 100);
-    if (rc < 0) {
-      if (errno != EINTR) return;  // unrecoverable; Stop will tear down
+    if (ev.data.ptr == &listener_) {
+      AcceptReady();
+      (void)Arm(EPOLL_CTL_MOD, listener_.fd(), EPOLLIN, &listener_);
       continue;
     }
-
-    if ((pfds[0].revents & POLLIN) != 0) {
-      char buf[64];
-      while (::read(wake_fd_[0], buf, sizeof(buf)) > 0) {
-      }
-    }
-    if (listening &&
-        (pfds[1].revents & (POLLIN | POLLERR | POLLHUP)) != 0) {
-      AcceptReady();
-    }
-
-    bool queued = false;
-    {
-      MutexLock lock(&mu_);
-      if (stop_) return;
-      for (size_t i = base; i < pfds.size(); ++i) {
-        if ((pfds[i].revents & (POLLIN | POLLERR | POLLHUP)) == 0) continue;
-        auto it = sessions_.find(ids[i - base]);
-        if (it == sessions_.end()) continue;
-        // Only the dispatcher moves a session out of kIdle, so the
-        // snapshot taken above cannot have gone stale.
-        it->second->state = SessionState::kReady;
-        ready_.push_back(it->first);
-        queued = true;
-      }
-    }
-    if (queued) ready_cv_.NotifyAll();
+    ServeTurn(static_cast<Session*>(ev.data.ptr));
   }
 }
 
@@ -195,24 +159,23 @@ void Server::AcceptReady() {
 Status Server::Admit(Socket sock) {
   sock.SetNoDelay();
   DBPL_RETURN_IF_ERROR(sock.SetNonBlocking(true));
-  bool admitted = false;
   {
     MutexLock lock(&mu_);
     if (!stop_ &&
         static_cast<int>(sessions_.size()) < options_.max_sessions) {
-      sessions_.emplace(next_session_id_++,
-                        std::make_unique<Session>(std::move(sock)));
-      admitted = true;
+      const int fd = sock.fd();
+      auto session = std::make_unique<Session>(std::move(sock));
+      // Registered under mu_, so Stop cannot free the session first.
+      // From here on a worker may already be serving it.
+      DBPL_RETURN_IF_ERROR(Arm(EPOLL_CTL_ADD, fd, EPOLLIN, session.get()));
+      sessions_.emplace(fd, std::move(session));
+      n_accepted_.fetch_add(1, std::memory_order_relaxed);
+      return Status::OK();
     }
   }
-  if (!admitted) {
-    n_shed_.fetch_add(1, std::memory_order_relaxed);
-    Shed(std::move(sock));
-    return Status::Unavailable("server at capacity");
-  }
-  n_accepted_.fetch_add(1, std::memory_order_relaxed);
-  WakeDispatcher();
-  return Status::OK();
+  n_shed_.fetch_add(1, std::memory_order_relaxed);
+  Shed(std::move(sock));
+  return Status::Unavailable("server at capacity");
 }
 
 void Server::Shed(Socket sock) {
@@ -225,70 +188,87 @@ void Server::Shed(Socket sock) {
   ByteBuffer frame;
   // A bare error response cannot exceed the frame limit.
   if (!EncodeFrame(body, &frame).ok()) return;
-  (void)sock.SendAll(frame.data(), frame.size());  // best effort, then close
+  // One non-blocking send (an empty socket buffer takes the whole
+  // frame), then close.
+  (void)sock.Send(frame.data(), frame.size());
 }
 
-void Server::WorkerLoop() {
-  while (true) {
-    uint64_t id = 0;
-    Session* session = nullptr;
-    {
-      MutexLock lock(&mu_);
-      while (!stop_ && ready_.empty()) ready_cv_.Wait(mu_);
-      if (stop_) return;
-      id = ready_.front();
-      ready_.pop_front();
-      auto it = sessions_.find(id);
-      if (it != sessions_.end()) {
-        session = it->second.get();
-        session->state = SessionState::kBusy;
-      }
-    }
-    if (session == nullptr) continue;
-
-    ProcessTurn(session);
-
-    bool close = false;
-    {
-      MutexLock lock(&mu_);
-      if (session->closing) {
-        sessions_.erase(id);
-        close = true;
-      } else {
-        session->state = SessionState::kIdle;
-      }
-    }
-    if (close) {
-      n_closed_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      WakeDispatcher();  // poll the session again
+void Server::ServeTurn(Session* session) {
+  {
+    MutexLock lock(&session->mu);
+    const uint32_t events = Turn(session);
+    // Re-armed before the unlock, so the next owner's lock orders after
+    // everything this turn did.
+    if (events != 0 &&
+        Arm(EPOLL_CTL_MOD, session->sock.fd(), events, session).ok()) {
+      return;
     }
   }
+  // Still disarmed: no other worker can reach the session.
+  CloseSession(session);
 }
 
-void Server::ProcessTurn(Session* session) {
-  // 1. Drain the socket (bounded per turn for fairness).
-  size_t drained = 0;
-  while (drained < kMaxReadPerTurn) {
+uint32_t Server::Turn(Session* session) {
+  if (!Flush(session)) return 0;
+  if (session->reading() && !Drain(session)) return 0;
+  // Answer in arrival order while the peer keeps up; a flush that makes
+  // room below the bound lets the turn go on.
+  bool at_bound = true;
+  while (at_bound && !session->closing &&
+         session->unsent <= kMaxUnsentBytes) {
+    ByteBuffer batch;
+    at_bound = AnswerBuffered(session, &batch);
+    if (!batch.empty()) {
+      session->unsent += batch.size();
+      session->out.push_back(std::move(batch));
+    }
+    if (!Flush(session)) return 0;
+  }
+  uint32_t events = 0;
+  if (session->unsent > 0) events |= EPOLLOUT;
+  if (session->reading()) events |= EPOLLIN;
+  return events;  // 0: done reading and everything is sent
+}
+
+bool Server::Flush(Session* session) {
+  while (!session->out.empty()) {
+    const ByteBuffer& head = session->out.front();
+    Result<size_t> sent = session->sock.Send(
+        head.data() + session->out_head, head.size() - session->out_head);
+    if (!sent.ok()) return Socket::IsWouldBlock(sent.status());
+    session->out_head += *sent;
+    session->unsent -= *sent;
+    if (session->out_head == head.size()) {
+      session->out.pop_front();
+      session->out_head = 0;
+    }
+  }
+  return true;
+}
+
+bool Server::Drain(Session* session) {
+  for (size_t drained = 0; drained < kMaxReadPerTurn;) {
     uint8_t chunk[kRecvChunkBytes];
     Result<size_t> got = session->sock.Recv(chunk, sizeof(chunk));
-    if (!got.ok()) {
-      if (!Socket::IsWouldBlock(got.status())) session->closing = true;
-      break;
-    }
+    if (!got.ok()) return Socket::IsWouldBlock(got.status());
     if (*got == 0) {
       session->saw_eof = true;
-      break;
+      return true;
     }
     session->in.insert(session->in.end(), chunk, chunk + *got);
     drained += *got;
   }
+  return true;
+}
 
-  // 2. Answer every complete buffered request, in arrival order.
-  ByteBuffer out;
+bool Server::AnswerBuffered(Session* session, ByteBuffer* batch) {
   size_t consumed = 0;
-  bool fatal = session->closing;
-  while (!fatal) {
+  bool at_bound = false;
+  while (!session->closing) {
+    if (session->unsent + batch->size() > kMaxUnsentBytes) {
+      at_bound = true;
+      break;
+    }
     size_t total = 0;
     std::string error;
     FrameStatus fs = InspectFrame(session->in.data() + consumed,
@@ -303,27 +283,31 @@ void Server::ProcessTurn(Session* session) {
       resp.status = Status::Corruption(error);
       ByteBuffer body;
       EncodeResponse(resp, &body);
-      (void)EncodeFrame(body, &out);  // bare error: cannot be oversize
-      fatal = true;
+      (void)EncodeFrame(body, batch);  // bare error: cannot be oversize
+      session->closing = true;
       break;
     }
-    if (!HandleFrame(session->in.data() + consumed + kFrameHeaderBytes,
-                     total - kFrameHeaderBytes, &out)) {
-      fatal = true;  // error response already appended
-    }
+    // An undecodable body gets its error response and closes too.
+    session->closing =
+        !HandleFrame(session->in.data() + consumed + kFrameHeaderBytes,
+                     total - kFrameHeaderBytes, batch);
     consumed += total;
   }
-  if (consumed > 0) {
-    session->in.erase(session->in.begin(),
-                      session->in.begin() + static_cast<ptrdiff_t>(consumed));
-  }
+  session->in.erase(session->in.begin(),
+                    session->in.begin() + static_cast<ptrdiff_t>(consumed));
+  return at_bound;
+}
 
-  // 3. Flush all responses with one send.
-  if (!out.empty()) {
-    Status sent = session->sock.SendAll(out.data(), out.size());
-    if (!sent.ok()) fatal = true;
+void Server::CloseSession(Session* session) {
+  const int fd = session->sock.fd();
+  // Explicit, so a copy of the fd held elsewhere cannot keep the
+  // registration (and a dangling Session*) alive.
+  (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
+  {
+    MutexLock lock(&mu_);
+    sessions_.erase(fd);  // closes the socket
   }
-  if (fatal || session->saw_eof) session->closing = true;
+  n_closed_.fetch_add(1, std::memory_order_relaxed);
 }
 
 bool Server::HandleFrame(const uint8_t* body, size_t n, ByteBuffer* out) {

@@ -22,7 +22,7 @@ namespace dbpl::serve {
 struct ServeOptions {
   /// Worker threads executing requests. Each session is owned by at
   /// most one worker at a time, which is what makes pipelined
-  /// responses arrive in request order without any per-session lock.
+  /// responses arrive in request order.
   int workers = 4;
   /// Admission bound: the most sessions admitted at once. A connection
   /// arriving beyond it is *shed* — answered with one kUnavailable
@@ -51,32 +51,41 @@ struct ServerStats {
   uint64_t protocol_errors = 0;
 };
 
-/// The dbpl-serve front-end: an acceptor/dispatcher thread plus a
-/// worker pool, serving the wire protocol of serve/protocol.h on top
-/// of a persist::WalDatabase.
+/// Most response bytes a session may hold unsent. Past it the server
+/// stops reading that session and stops executing its buffered
+/// requests until the peer drains: backpressure, never a blocked
+/// worker. Two maximal frames, so one response that crosses the line
+/// still fits beside the one before it.
+inline constexpr size_t kMaxUnsentBytes = 2 * kMaxFrameBody;
+
+/// The dbpl-serve front-end: a pool of worker threads over one shared
+/// epoll set, serving the wire protocol of serve/protocol.h on top of
+/// a persist::WalDatabase.
 ///
 /// ## Architecture
 ///
-///   acceptor ──admission──> session table ──readable──> ready queue
-///                                ^                          │
-///                                └────────── workers <──────┘
-///
-/// One dispatcher thread poll(2)s the listener (when listening), a
-/// self-pipe, and every *idle* session. A session that turns readable
-/// moves to the ready queue; a worker checks it out, drains and
-/// executes every complete pipelined request in arrival order (reads
-/// resolve against a lock-free dyndb snapshot; writes funnel through
-/// the WalDatabase's sharded group-commit path), sends the responses,
-/// and hands the session back. A session is polled by the dispatcher
-/// or owned by one worker, never both — the mutex only guards the
-/// handoff, so request execution runs entirely outside it.
+/// One epoll set holds every session fd, the listener (when listening)
+/// and a stop eventfd, all registered EPOLLONESHOT. The `workers`
+/// threads all wait on it; the kernel hands each readiness event to
+/// exactly one of them and disarms the fd. That worker owns the
+/// session for one *turn*: it flushes pending output, drains the
+/// socket, executes every complete pipelined request in arrival order
+/// (reads resolve against a lock-free dyndb snapshot; writes funnel
+/// through the WalDatabase's sharded group-commit path), queues the
+/// responses, flushes them with non-blocking sends, and re-arms the fd
+/// with one epoll_ctl(MOD) — for EPOLLOUT too while output is pending.
+/// A session therefore has one owner per turn, and idle workers pick
+/// up whichever session turns ready next.
 ///
 /// ## Locking
 ///
-/// A single mutex (rank kServe, below the whole database stack —
-/// DESIGN.md §10/§12) guards the session table, ready queue and stop
-/// flag. It is held only for queue/table manipulation, never across
-/// recv/send/execute.
+/// `mu_` (rank kServe, below the whole database stack — DESIGN.md
+/// §10/§12) guards only the session table and stop flag, at admission
+/// and close. Each turn runs under its session's own `mu`, also rank
+/// kServe, and re-arms the fd before releasing it. The kernel already
+/// serializes turns, so the next owner waits on `mu` at most for that
+/// unlock; the lock makes the handoff between turns visible to TSan
+/// and the lock-rank checker. It is never nested with `mu_`.
 ///
 /// ## Failure containment
 ///
@@ -84,8 +93,11 @@ struct ServerStats {
 /// answered in-band with the typed status mapping and the session
 /// lives on. Framing violations are unrecoverable for that stream:
 /// the session is answered with one final error frame (op kNone) and
-/// closed. A peer vanishing mid-request tears down only its session;
-/// buffered partial requests are discarded unexecuted.
+/// closed once that frame is sent. A peer vanishing mid-request tears
+/// down only its session; buffered partial requests are discarded
+/// unexecuted. A peer that stops reading holds at most
+/// kMaxUnsentBytes plus one response of output; no worker ever waits
+/// on it.
 class Server {
  public:
   /// Starts the threads (and listener, when configured). `wdb` must
@@ -108,7 +120,7 @@ class Server {
   /// The bound TCP port (0 when not listening).
   uint16_t port() const { return port_; }
 
-  /// Sessions currently admitted (idle, queued or being served).
+  /// Sessions currently admitted (idle or being served).
   int active_sessions() const DBPL_EXCLUDES(mu_);
 
   ServerStats stats() const;
@@ -118,20 +130,30 @@ class Server {
   void Stop() DBPL_EXCLUDES(mu_);
 
  private:
-  /// Which component may currently touch a session's socket/buffers.
-  enum class SessionState : uint8_t { kIdle, kReady, kBusy };
-
   struct Session {
     explicit Session(Socket s) : sock(std::move(s)) {}
+    /// Held for one whole turn; see "Locking" above.
+    dbpl::Mutex mu{dbpl::LockRank::kServe, "serve.session.mu"};
+    /// Set at admission, never reassigned.
     Socket sock;
     /// Received-but-unparsed bytes (may end mid-frame).
-    std::vector<uint8_t> in;
-    SessionState state = SessionState::kIdle;
-    /// Set by the owning worker: close instead of re-registering.
-    bool closing = false;
-    /// Peer performed an orderly shutdown; close once the buffered
-    /// complete requests are answered.
-    bool saw_eof = false;
+    std::vector<uint8_t> in DBPL_GUARDED_BY(mu);
+    /// Framed responses not yet fully sent, oldest first; the first
+    /// `out_head` bytes of the front one are already on the wire.
+    std::deque<ByteBuffer> out DBPL_GUARDED_BY(mu);
+    size_t out_head DBPL_GUARDED_BY(mu) = 0;
+    /// Bytes in `out` not yet sent.
+    size_t unsent DBPL_GUARDED_BY(mu) = 0;
+    /// Peer performed an orderly shutdown: answer the buffered
+    /// complete requests, then close.
+    bool saw_eof DBPL_GUARDED_BY(mu) = false;
+    /// Framing is lost: close once the final error frame is sent.
+    bool closing DBPL_GUARDED_BY(mu) = false;
+
+    /// Whether to take more requests from the peer now.
+    bool reading() const DBPL_REQUIRES(mu) {
+      return !closing && !saw_eof && unsent <= kMaxUnsentBytes;
+    }
   };
 
   Server(persist::WalDatabase* wdb, const ServeOptions& options)
@@ -139,21 +161,39 @@ class Server {
 
   Status StartLocked();
 
-  /// The dispatcher thread: accept + admission + readiness polling.
-  void DispatcherLoop() DBPL_EXCLUDES(mu_);
+  /// One worker: waits on the shared epoll set and serves whatever
+  /// event the kernel hands it.
   void WorkerLoop() DBPL_EXCLUDES(mu_);
+  /// (Re-)registers `fd` in the epoll set for one event of `events`.
+  Status Arm(int op, int fd, uint32_t events, void* tag);
 
   /// Accepts until EAGAIN, applying admission control.
   void AcceptReady() DBPL_EXCLUDES(mu_);
-  /// Registers `sock` as a new idle session or sheds it. The returned
+  /// Registers `sock` as a new session or sheds it. The returned
   /// status is kUnavailable iff shed.
   Status Admit(Socket sock) DBPL_EXCLUDES(mu_);
   /// Best-effort "server at capacity" frame + close.
   void Shed(Socket sock);
 
-  /// One service turn for a checked-out session: drain the socket,
-  /// answer every complete request, flush. Runs with no lock held.
-  void ProcessTurn(Session* session);
+  /// Runs one turn of `session` and re-arms or closes it.
+  void ServeTurn(Session* session) DBPL_EXCLUDES(mu_, session->mu);
+  /// Flush, drain, execute, flush. Returns the events to re-arm the
+  /// session with; 0 means close it.
+  uint32_t Turn(Session* session) DBPL_REQUIRES(session->mu);
+  /// Sends queued output until done or the socket is full. False = the
+  /// peer is gone.
+  bool Flush(Session* session) DBPL_REQUIRES(session->mu);
+  /// Reads at most kMaxReadPerTurn bytes into `in`. False = the peer
+  /// is gone.
+  bool Drain(Session* session) DBPL_REQUIRES(session->mu);
+  /// Answers complete buffered requests, in arrival order, into
+  /// `batch` while the session stays within kMaxUnsentBytes. True when
+  /// it stopped at that bound rather than for lack of requests.
+  bool AnswerBuffered(Session* session, ByteBuffer* batch)
+      DBPL_REQUIRES(session->mu);
+  /// Unregisters and destroys a session no worker will touch again.
+  void CloseSession(Session* session) DBPL_EXCLUDES(mu_, session->mu);
+
   /// Decodes and executes one CRC-valid frame body, appending the
   /// framed response to `out`. False = session must close (the body
   /// was not a well-formed request).
@@ -161,31 +201,24 @@ class Server {
   /// Executes one decoded request against the database.
   Response Execute(const Request& req);
 
-  void WakeDispatcher();
-
   persist::WalDatabase* const wdb_;
   const ServeOptions options_;
 
   Listener listener_;
   uint16_t port_ = 0;
-  /// Self-pipe waking the dispatcher out of poll(2): [0] read, [1]
-  /// write end.
-  int wake_fd_[2] = {-1, -1};
+  /// The shared EPOLLONESHOT set, and the eventfd that tells workers to
+  /// exit.
+  int epoll_fd_ = -1;
+  int stop_fd_ = -1;
 
-  /// Guards the handoff state below; held only for table/queue
-  /// manipulation, never across I/O or request execution. Rank kServe:
-  /// the outermost lock of the process (DESIGN.md §12).
+  /// Guards the session table and stop flag; never held across I/O
+  /// other than registering or closing a session's fd, and never
+  /// together with a Session::mu. Rank kServe (DESIGN.md §12).
   mutable dbpl::Mutex mu_{dbpl::LockRank::kServe, "serve.mu_"};
-  dbpl::CondVar ready_cv_;
-  std::unordered_map<uint64_t, std::unique_ptr<Session>> sessions_
+  /// Keyed by fd, which stays unique while the session owns it.
+  std::unordered_map<int, std::unique_ptr<Session>> sessions_
       DBPL_GUARDED_BY(mu_);
-  std::deque<uint64_t> ready_ DBPL_GUARDED_BY(mu_);
-  uint64_t next_session_id_ DBPL_GUARDED_BY(mu_) = 1;
   bool stop_ DBPL_GUARDED_BY(mu_) = false;
-
-  std::thread dispatcher_;
-  std::vector<std::thread> workers_;
-  std::atomic<bool> started_{false};
 
   // Stats are atomics so workers never take mu_ on the hot path.
   std::atomic<uint64_t> n_accepted_{0};
@@ -194,6 +227,9 @@ class Server {
   std::atomic<uint64_t> n_requests_ok_{0};
   std::atomic<uint64_t> n_requests_error_{0};
   std::atomic<uint64_t> n_protocol_errors_{0};
+
+  std::atomic<bool> started_{false};
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace dbpl::serve

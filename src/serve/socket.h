@@ -56,13 +56,18 @@ class Socket {
   /// through EAGAIN (so it works on non-blocking sockets too).
   Status SendAll(const void* data, size_t n);
 
+  /// One send(2): the number of bytes written (possibly short), or
+  /// IoError. On a non-blocking socket whose send buffer is full it
+  /// yields the would-block status below instead of waiting.
+  Result<size_t> Send(const void* data, size_t n);
+
   /// One read(2): the number of bytes received (0 = orderly shutdown
   /// by the peer), or IoError. On a non-blocking socket an empty
   /// socket yields the special status below.
   Result<size_t> Recv(void* out, size_t n);
 
-  /// True when `s` is the would-block pseudo-error from Recv on a
-  /// non-blocking socket with nothing buffered.
+  /// True when `s` is the would-block pseudo-error from Recv or Send
+  /// on a non-blocking socket that cannot make progress.
   static bool IsWouldBlock(const Status& s);
 
   /// Reads exactly `n` bytes (blocking sockets; polls through EAGAIN).

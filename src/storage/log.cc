@@ -1,10 +1,9 @@
 #include "storage/log.h"
 
-#include <cstring>
 #include <vector>
 
 #include "common/bytes.h"
-#include "common/crc32c.h"
+#include "common/frame.h"
 
 namespace dbpl::storage {
 namespace {
@@ -52,9 +51,8 @@ Status LogWriter::Append(const LogRecord& record) {
   body.PutString(record.value);
 
   ByteBuffer frame;
-  frame.PutU32(MaskCrc(Crc32c(body.data(), body.size())));
-  frame.PutU32(static_cast<uint32_t>(body.size()));
-  frame.PutRaw(body.data(), body.size());
+  DBPL_RETURN_IF_ERROR(
+      EncodeFrame(body.data(), body.size(), kMaxLogRecordBody, &frame));
 
   Status appended = file_->Append(frame.data(), frame.size());
   if (!appended.ok()) {
@@ -92,42 +90,42 @@ Result<std::unique_ptr<LogReader>> LogReader::OpenAt(Vfs* vfs,
 
 Result<bool> LogReader::Next(LogRecord* out) {
   if (done_) return false;
-  uint8_t header[8];
+  // Read the header, let InspectFrame bound the claimed length, then
+  // read the body and re-inspect the whole frame (CRC included). A
+  // short read anywhere is a torn tail.
+  std::vector<uint8_t> frame(kFrameHeaderBytes);
   DBPL_ASSIGN_OR_RETURN(size_t n,
-                        file_->ReadAt(offset_, header, sizeof(header)));
+                        file_->ReadAt(offset_, frame.data(), frame.size()));
   if (n == 0) {
     done_ = true;
     return false;
   }
-  if (n != sizeof(header)) {
+  size_t total = 0;
+  FrameStatus fs =
+      n < kFrameHeaderBytes
+          ? FrameStatus::kBad
+          : InspectFrame(frame.data(), n, kMaxLogRecordBody, &total, nullptr);
+  if (fs == FrameStatus::kNeedMore) {
+    frame.resize(total);
+    DBPL_ASSIGN_OR_RETURN(
+        size_t body_read,
+        file_->ReadAt(offset_ + kFrameHeaderBytes,
+                      frame.data() + kFrameHeaderBytes,
+                      total - kFrameHeaderBytes));
+    fs = body_read < total - kFrameHeaderBytes
+             ? FrameStatus::kBad
+             : InspectFrame(frame.data(), total, kMaxLogRecordBody, &total,
+                            nullptr);
+  }
+  if (fs != FrameStatus::kFrame) {
     done_ = true;
     saw_corrupt_tail_ = true;
     return false;
   }
-  uint32_t stored_crc = 0, len = 0;
-  std::memcpy(&stored_crc, header, 4);
-  std::memcpy(&len, header + 4, 4);
-  // Sanity bound: a length the writer would never produce is corruption.
-  if (len < 1 || len > kMaxLogRecordBody) {
-    done_ = true;
-    saw_corrupt_tail_ = true;
-    return false;
-  }
-  std::vector<uint8_t> body(len);
-  DBPL_ASSIGN_OR_RETURN(size_t body_read,
-                        file_->ReadAt(offset_ + sizeof(header), body.data(),
-                                      len));
-  if (body_read != len) {
-    done_ = true;
-    saw_corrupt_tail_ = true;
-    return false;
-  }
-  if (MaskCrc(Crc32c(body.data(), len)) != stored_crc) {
-    done_ = true;
-    saw_corrupt_tail_ = true;
-    return false;
-  }
-  ByteReader reader(body.data(), body.size());
+  // An empty body fails the type-byte read below: a length of 0 is a
+  // frame the writer never produces.
+  ByteReader reader(frame.data() + kFrameHeaderBytes,
+                    total - kFrameHeaderBytes);
   Result<uint8_t> type = reader.ReadU8();
   Result<std::string> key =
       type.ok() ? reader.ReadString() : Result<std::string>(type.status());
@@ -140,7 +138,7 @@ Result<bool> LogReader::Next(LogRecord* out) {
     saw_corrupt_tail_ = true;
     return false;
   }
-  offset_ += sizeof(header) + len;
+  offset_ += total;
   out->type = static_cast<LogRecordType>(*type);
   out->key = std::move(key).value();
   out->value = std::move(value).value();

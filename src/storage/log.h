@@ -39,8 +39,9 @@ inline constexpr uint64_t kMaxLogRecordBody = 1ull << 30;
 
 /// Appends CRC-framed records to a log file.
 ///
-/// Framing: `[u32 masked crc of body][u32 body length][body]`, where the
-/// body is `[u8 type][varint key length][key][varint value length][value]`.
+/// Framing: the shared CRC frame of common/frame.h,
+/// `[u32 masked crc of body][u32 body length][body]`, where the body is
+/// `[u8 type][varint key length][key][varint value length][value]`.
 /// A torn final record (crash mid-append) fails its CRC and is dropped at
 /// recovery, together with any uncommitted records before it.
 ///

@@ -634,7 +634,7 @@ TEST(CrashMatrixTest, ConcurrentSnapshotSaveRacingInsertsRecovers) {
     vfs.CrashAtMutatingOp(k);
     // Keep saving fresh snapshots (racing the writer) until the
     // injected crash fires; it always does, since every save mutates.
-    while (persist::SaveDatabase(&vfs, path, db).ok()) {
+    while (persist::SaveSnapshot(&vfs, path, db.GetSnapshot()).ok()) {
     }
     ASSERT_TRUE(vfs.crashed());
     vfs.PowerLoss(fate);
@@ -665,7 +665,7 @@ TEST(CrashMatrixTest, ConcurrentSnapshotSaveRacingInsertsRecovers) {
   writer.join();
 
   // Fault-free final save of the quiesced database round-trips exactly.
-  ASSERT_TRUE(persist::SaveDatabase(&vfs, path, db).ok());
+  ASSERT_TRUE(persist::SaveSnapshot(&vfs, path, db.GetSnapshot()).ok());
   auto final_loaded = persist::LoadDatabase(&vfs, path);
   ASSERT_TRUE(final_loaded.ok()) << final_loaded.status();
   EXPECT_EQ(final_loaded->size(), static_cast<size_t>(kInserts));

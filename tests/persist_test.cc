@@ -479,9 +479,11 @@ TEST(DatabaseIoTest, DatabaseRoundTripsAndExtentsAreDerived) {
   db.MustInsertValue(Value::RecordOf(
       {{"Name", Value::String("e1")}, {"Empno", Value::Int(1)}}));
   db.MustInsertValue(Value::Int(42));
-  ASSERT_TRUE(persist::SaveDatabase(file.path, db).ok());
+  ASSERT_TRUE(persist::SaveSnapshot(storage::Vfs::Default(), file.path,
+                                    db.GetSnapshot())
+                  .ok());
 
-  auto loaded = persist::LoadDatabase(file.path);
+  auto loaded = persist::LoadDatabase(storage::Vfs::Default(), file.path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->size(), 3u);
   // Every entry round-trips with its type.
@@ -501,10 +503,14 @@ TEST(DatabaseIoTest, CorruptDatabaseFileRejected) {
   ScopedPath file(TempPath("dbio_bad"));
   dyndb::Database db;
   db.MustInsertValue(Value::Int(1));
-  ASSERT_TRUE(persist::SaveDatabase(file.path, db).ok());
+  ASSERT_TRUE(persist::SaveSnapshot(storage::Vfs::Default(), file.path,
+                                    db.GetSnapshot())
+                  .ok());
   CorruptByte(file.path, 9);
-  EXPECT_FALSE(persist::LoadDatabase(file.path).ok());
-  EXPECT_EQ(persist::LoadDatabase(TempPath("nonexistent")).status().code(),
+  EXPECT_FALSE(
+      persist::LoadDatabase(storage::Vfs::Default(), file.path).ok());
+  EXPECT_EQ(persist::LoadDatabase(storage::Vfs::Default(),
+                                  TempPath("nonexistent")).status().code(),
             StatusCode::kNotFound);
 }
 

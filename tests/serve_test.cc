@@ -4,7 +4,8 @@
 // in-process call — same values, same ids, same typed errors — across
 // all Get strategies and shard geometries. Around it: frame/codec
 // round trips, pipelined in-order responses, session teardown
-// mid-request, admission-control shedding (kUnavailable), a TCP
+// mid-request, admission-control shedding (kUnavailable), peers that
+// never read their replies (bounded output, no blocked worker), a TCP
 // end-to-end run, a 4-client × 4-worker stress run (the `serve-tsan`
 // target), and the PR 5 durability oracle lifted to the wire: the
 // server is killed at every VFS op while live clients stream writes,
@@ -987,6 +988,109 @@ TEST(ServeTest, OversizeScanAnsweredInBandAndSessionSurvives) {
   EXPECT_EQ(stats.sessions_closed, 0u);
   EXPECT_EQ(stats.protocol_errors, 0u);
   EXPECT_GE(stats.requests_error, 2u);  // the two refused scans
+}
+
+// ---------------------------------------------------------------------
+// Peers that do not read: backpressure, never a blocked worker.
+// ---------------------------------------------------------------------
+
+/// Polls until the server has answered `n` requests OK (or 5s elapse).
+void WaitForRequestsOk(const Server& server, uint64_t n) {
+  for (int i = 0; i < 5000; ++i) {
+    if (server.stats().requests_ok >= n) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  FAIL() << "server never answered " << n << " request(s)";
+}
+
+TEST(ServeTest, SlowReaderDoesNotStallOtherSessions) {
+  FaultVfs vfs(5);
+  auto wdb = WalDatabase::Open(&vfs, "db", CommitPolicy{1, true});
+  ASSERT_TRUE(wdb.ok()) << wdb.status();
+  // 8 × 1 MiB: one scan answer is far more than a socketpair buffers.
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(wdb->get()->InsertValue(BigRec(i, 1u << 20)).ok());
+  }
+  ASSERT_TRUE(wdb->get()->Commit().ok());
+  PairHarness h = StartPairServer(wdb->get(), /*workers=*/1, /*clients=*/2);
+
+  // Client A asks for the scan and never reads a byte of the answer.
+  Request scan;
+  scan.op = ReqOp::kGetScan;
+  scan.type = RecT();
+  ASSERT_TRUE(h.clients[0].Send(std::move(scan)).ok());
+  WaitForRequestsOk(*h.server, 1);
+
+  // The server's only worker must not be parked on A's full socket.
+  Client& b = h.clients[1];
+  b.set_await_timeout(std::chrono::seconds(2));
+  Status pong = b.Ping();
+  EXPECT_TRUE(pong.ok()) << pong;
+}
+
+TEST(ServeTest, NonDrainingPipelinerIsBoundedNotBlocking) {
+  FaultVfs vfs(5);
+  auto wdb = WalDatabase::Open(&vfs, "db", CommitPolicy{1, true});
+  ASSERT_TRUE(wdb.ok()) << wdb.status();
+  // 15 × 512 KiB: each scan answer is about 7.5 MiB, so the unsent
+  // bound is not a whole number of answers.
+  for (int i = 0; i < 15; ++i) {
+    ASSERT_TRUE(wdb->get()->InsertValue(BigRec(i, 512u << 10)).ok());
+  }
+  ASSERT_TRUE(wdb->get()->Commit().ok());
+  const std::vector<Value> expected = wdb->get()->db().GetScan(RecT());
+  Response answer;
+  answer.op = ReqOp::kGetScan;
+  for (const Value& v : expected) answer.entries.push_back(MakeDynamic(v));
+  ByteBuffer answer_body;
+  EncodeResponse(answer, &answer_body);
+  const size_t answer_bytes = kFrameHeaderBytes + answer_body.size();
+  ASSERT_LE(answer_bytes, kMaxFrameBody);
+
+  PairHarness h = StartPairServer(wdb->get(), /*workers=*/1, /*clients=*/2);
+  Client& a = h.clients[0];
+  constexpr int kScans = 64;
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < kScans; ++i) {
+    Request scan;
+    scan.op = ReqOp::kGetScan;
+    scan.type = RecT();
+    auto id = a.Send(std::move(scan));
+    ASSERT_TRUE(id.ok()) << id.status();
+    ids.push_back(*id);
+  }
+
+  // Let the server run until it stops executing A's requests.
+  WaitForRequestsOk(*h.server, 1);
+  uint64_t executed = h.server->stats().requests_ok;
+  for (int i = 0; i < 50; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const uint64_t now = h.server->stats().requests_ok;
+    if (now == executed) break;
+    executed = now;
+  }
+  // The bound's worth of answers, plus the one that crossed it.
+  EXPECT_LE(executed, kMaxUnsentBytes / answer_bytes + 1);
+  EXPECT_LT(executed, static_cast<uint64_t>(kScans));
+
+  // The only worker is free for other sessions.
+  Client& b = h.clients[1];
+  b.set_await_timeout(std::chrono::seconds(2));
+  Status pong = b.Ping();
+  EXPECT_TRUE(pong.ok()) << pong;
+
+  // Once A drains, every answer arrives, in order and intact.
+  for (int i = 0; i < kScans; ++i) {
+    auto resp = a.Await();
+    ASSERT_TRUE(resp.ok()) << resp.status();
+    EXPECT_EQ(resp->id, ids[static_cast<size_t>(i)]);
+    ASSERT_TRUE(resp->status.ok()) << resp->status;
+    ASSERT_EQ(resp->entries.size(), expected.size());
+    for (size_t j = 0; j < expected.size(); ++j) {
+      EXPECT_EQ(resp->entries[j].value, expected[j]) << "scan " << i;
+    }
+  }
+  EXPECT_EQ(h.server->stats().requests_ok, kScans + 1u);
 }
 
 // ---------------------------------------------------------------------

@@ -239,8 +239,10 @@ TEST(ShardedDifferentialTest, SnapshotSaveLoadMatches) {
   ApplyWorkload(21, 80, &one, &sharded);
   // SaveSnapshot enumerates in id order; the reloaded (single-shard)
   // databases hold the same multiset either way.
-  ASSERT_TRUE(persist::SaveDatabase(&vfs, "one.dbpl", one).ok());
-  ASSERT_TRUE(persist::SaveDatabase(&vfs, "sharded.dbpl", sharded).ok());
+  ASSERT_TRUE(
+      persist::SaveSnapshot(&vfs, "one.dbpl", one.GetSnapshot()).ok());
+  ASSERT_TRUE(persist::SaveSnapshot(&vfs, "sharded.dbpl",
+                                    sharded.GetSnapshot()).ok());
   auto lone = persist::LoadDatabase(&vfs, "one.dbpl");
   auto lsharded = persist::LoadDatabase(&vfs, "sharded.dbpl");
   ASSERT_TRUE(lone.ok() && lsharded.ok());
