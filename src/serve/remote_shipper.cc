@@ -19,9 +19,10 @@ constexpr const char* kWalPathPrefix = "remote://wal.";
 // ---------------------------------------------------------------------------
 
 /// A read-only view of one primary-side file, fetched in kReadChunk
-/// round trips. LogReader drives this with its own cursor (absolute
-/// offsets), and Vfs::ReadFileBytes issues one whole-file ReadAt — so
-/// ReadAt internally loops RPCs of at most kMaxReadChunk bytes each.
+/// round trips. Vfs::ReadFileBytes issues one whole-file ReadAt, so a
+/// checkpoint read loops RPCs of at most kMaxReadChunk bytes each.
+/// LogReader's header and body reads of a WAL segment go through the
+/// read-ahead window instead (class comment, "Read-ahead").
 class RemoteShipper::RemoteFile : public storage::VfsFile {
  public:
   RemoteFile(const RemoteShipper* shipper, ShipFile file, int shard)
@@ -29,6 +30,9 @@ class RemoteShipper::RemoteFile : public storage::VfsFile {
 
   Result<size_t> ReadAt(uint64_t offset, void* out, size_t n) override {
     uint8_t* p = static_cast<uint8_t*>(out);
+    if (file_ == ShipFile::kWalSegment && n <= kMaxReadChunk) {
+      return ReadThroughWindow(offset, p, n);
+    }
     size_t total = 0;
     while (total < n) {
       const uint64_t want =
@@ -67,9 +71,39 @@ class RemoteShipper::RemoteFile : public storage::VfsFile {
   }
 
  private:
+  Result<size_t> ReadThroughWindow(uint64_t offset, uint8_t* out, size_t n) {
+    const uint64_t end = window_start_ + window_.size();
+    const bool hit = offset >= consumed_ && offset <= end &&
+                     n <= end - offset &&
+                     window_conn_ == shipper_->connection();
+    if (!hit) {
+      window_.clear();
+      uint64_t conn = 0;
+      DBPL_ASSIGN_OR_RETURN(Client::Chunk chunk,
+                            shipper_->ReadAheadRpc(shard_, offset, n, &conn));
+      window_ = std::move(chunk.data);
+      window_start_ = offset;
+      window_conn_ = conn;
+    }
+    // The copy is bounded by `n` and the window, never by the peer; a
+    // window shorter than the read is the server's EOF.
+    const size_t got = static_cast<size_t>(
+        std::min<uint64_t>(n, window_start_ + window_.size() - offset));
+    std::memcpy(out, window_.data() + (offset - window_start_), got);
+    consumed_ = offset + got;
+    return got;
+  }
+
   const RemoteShipper* const shipper_;
   const ShipFile file_;
   const int shard_;
+  /// The read-ahead window (WAL segments only): the bytes at
+  /// [window_start_, window_start_ + window_.size()) as connection
+  /// window_conn_ served them. Bytes below consumed_ are spent.
+  std::string window_;
+  uint64_t window_start_ = 0;
+  uint64_t consumed_ = 0;
+  uint64_t window_conn_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -216,6 +250,7 @@ Result<RemoteShipper::ShipState> RemoteShipper::FetchBoundsLocked() const {
   state.generation = gen_base_ + (state.generation - raw_base_);
   last_reported_ = state.generation;
   cached_ = state;
+  bounds_conn_ = conn_;
   return state;
 }
 
@@ -223,6 +258,39 @@ Result<Client::Chunk> RemoteShipper::ReadChunkRpc(ShipFile file, int shard,
                                                   uint64_t offset,
                                                   uint64_t length) const {
   MutexLock lock(&mu_);
+  return ReadChunkLocked(file, shard, offset, length);
+}
+
+Result<Client::Chunk> RemoteShipper::ReadAheadRpc(int shard, uint64_t offset,
+                                                  uint64_t length,
+                                                  uint64_t* conn) const {
+  MutexLock lock(&mu_);
+  // Widen only to a bound this connection reported: one learned from
+  // an earlier primary incarnation says nothing about this one's bytes.
+  const uint64_t durable =
+      cached_.shards[static_cast<size_t>(shard)].durable_bytes;
+  uint64_t ask = length;
+  if (bounds_conn_ == conn_ && offset <= durable &&
+      length <= durable - offset) {
+    ask = std::min(durable - offset, kMaxReadChunk);
+  }
+  DBPL_ASSIGN_OR_RETURN(
+      Client::Chunk chunk,
+      ReadChunkLocked(ShipFile::kWalSegment, shard, offset, ask));
+  // A read never survives a reconnect (see Rpc), so the connection
+  // now current is the one that answered.
+  *conn = conn_;
+  return chunk;
+}
+
+uint64_t RemoteShipper::connection() const {
+  MutexLock lock(&mu_);
+  return conn_;
+}
+
+Result<Client::Chunk> RemoteShipper::ReadChunkLocked(ShipFile file, int shard,
+                                                     uint64_t offset,
+                                                     uint64_t length) const {
   Request req;
   req.op = ReqOp::kReadChunk;
   req.file = file;
@@ -233,8 +301,8 @@ Result<Client::Chunk> RemoteShipper::ReadChunkRpc(ShipFile file, int shard,
   DBPL_RETURN_IF_ERROR(resp.status);
   // The frame limit only bounds the chunk at kMaxFrameBody; a hostile
   // or buggy primary could still answer a small read with megabytes.
-  // Callers (RemoteFile::ReadAt) memcpy into buffers sized by
-  // `length`, so an over-long chunk must die here, not there.
+  // Callers (RemoteFile) memcpy into buffers sized by `length`, so an
+  // over-long chunk must die here, not there.
   if (resp.chunk.size() > length) {
     return Status::Corruption(
         "primary answered a " + std::to_string(length) +
@@ -315,6 +383,7 @@ Status RemoteShipper::Reconnect() const {
         std::to_string(shard_count_));
   }
   client_ = std::move(fresh);
+  ++conn_;
   // Offsets learned before the reconnect cannot be trusted (the
   // primary may have restarted and rewritten its segments), so jump
   // the bias past everything already reported: the next ship_bounds()

@@ -30,6 +30,22 @@ namespace dbpl::serve {
 /// a real socket through exactly the code path the in-process crash
 /// matrix proves.
 ///
+/// ## Read-ahead
+///
+/// LogReader reads each WAL record as a header and then a body. So
+/// that these do not cost a round trip each, every open WAL segment
+/// keeps one read-ahead window: a read the window cannot serve fetches
+/// min(durable_bytes − offset, kMaxReadChunk) bytes in one kReadChunk,
+/// where durable_bytes is the shard's bound from the last ship_bounds()
+/// answered on the current connection, so no byte the primary has not
+/// made durable is buffered. The window is forward-only and
+/// consume-once (a read behind the consumed position, or not wholly
+/// inside the window, drops it and goes to the wire), it is discarded
+/// unused once a reconnect has happened since it was filled, and it
+/// holds at most kMaxReadChunk bytes, so a follower buffers at most
+/// one chunk per shard. Reads past the bound, checkpoint reads and the
+/// Open/Exists/Size probes ask for exactly what they need.
+///
 /// ## Failure mapping
 ///
 /// Transport trouble must surface as states Replica already knows how
@@ -156,6 +172,20 @@ class RemoteShipper : public persist::WalShipper {
   /// own status.
   Result<Client::Chunk> ReadChunkRpc(ShipFile file, int shard,
                                      uint64_t offset, uint64_t length) const;
+  /// The read-ahead fill for a read of `length` ≤ kMaxReadChunk bytes
+  /// at `offset` of WAL segment `shard`. When the bounds last fetched
+  /// on the current connection put the whole read within the shard's
+  /// `durable_bytes`, it asks for min(durable − offset, kMaxReadChunk)
+  /// bytes; otherwise for exactly `length`. Reports the connection
+  /// that answered.
+  Result<Client::Chunk> ReadAheadRpc(int shard, uint64_t offset,
+                                     uint64_t length, uint64_t* conn) const;
+  /// ReadChunkRpc's body, for callers already holding mu_.
+  Result<Client::Chunk> ReadChunkLocked(ShipFile file, int shard,
+                                        uint64_t offset, uint64_t length) const
+      DBPL_REQUIRES(mu_);
+  /// The current connection's number (see conn_).
+  uint64_t connection() const;
 
   /// One RPC with reconnect/backoff on transport failure. In-band
   /// errors (Response::status) are returned to the caller untouched —
@@ -193,6 +223,11 @@ class RemoteShipper : public persist::WalShipper {
   /// Last successfully fetched (biased) state, returned when the
   /// transport is down.
   mutable ShipState cached_ DBPL_GUARDED_BY(mu_);
+  /// Connection number: bumped by every successful Reconnect(). A
+  /// read-ahead window records the connection that filled it, and
+  /// bounds_conn_ the one cached_ was fetched on.
+  mutable uint64_t conn_ DBPL_GUARDED_BY(mu_) = 0;
+  mutable uint64_t bounds_conn_ DBPL_GUARDED_BY(mu_) = 0;
   mutable uint64_t n_rpcs_ DBPL_GUARDED_BY(mu_) = 0;
   mutable uint64_t n_transport_errors_ DBPL_GUARDED_BY(mu_) = 0;
   mutable uint64_t n_reconnects_ DBPL_GUARDED_BY(mu_) = 0;

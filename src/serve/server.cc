@@ -5,6 +5,7 @@
 #include <sys/eventfd.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -448,11 +449,14 @@ Response Server::Execute(const Request& req) {
         break;
       }
       resp.file_size = *size;
-      resp.chunk.resize(static_cast<size_t>(req.length));
-      if (req.length > 0) {
-        Result<size_t> got =
-            (*file)->ReadAt(req.offset, resp.chunk.data(),
-                            static_cast<size_t>(req.length));
+      // Size the buffer by what the file holds, not by what the peer
+      // asked for: a read at or past EOF allocates nothing.
+      const uint64_t avail =
+          req.offset < *size ? std::min(req.length, *size - req.offset) : 0;
+      resp.chunk.resize(static_cast<size_t>(avail));
+      if (avail > 0) {
+        Result<size_t> got = (*file)->ReadAt(
+            req.offset, resp.chunk.data(), static_cast<size_t>(avail));
         if (!got.ok()) {
           resp.status = got.status();
           resp.chunk.clear();

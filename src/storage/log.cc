@@ -93,9 +93,9 @@ Result<bool> LogReader::Next(LogRecord* out) {
   // Read the header, let InspectFrame bound the claimed length, then
   // read the body and re-inspect the whole frame (CRC included). A
   // short read anywhere is a torn tail.
-  std::vector<uint8_t> frame(kFrameHeaderBytes);
+  frame_.resize(kFrameHeaderBytes);
   DBPL_ASSIGN_OR_RETURN(size_t n,
-                        file_->ReadAt(offset_, frame.data(), frame.size()));
+                        file_->ReadAt(offset_, frame_.data(), frame_.size()));
   if (n == 0) {
     done_ = true;
     return false;
@@ -104,17 +104,17 @@ Result<bool> LogReader::Next(LogRecord* out) {
   FrameStatus fs =
       n < kFrameHeaderBytes
           ? FrameStatus::kBad
-          : InspectFrame(frame.data(), n, kMaxLogRecordBody, &total, nullptr);
+          : InspectFrame(frame_.data(), n, kMaxLogRecordBody, &total, nullptr);
   if (fs == FrameStatus::kNeedMore) {
-    frame.resize(total);
+    frame_.resize(total);
     DBPL_ASSIGN_OR_RETURN(
         size_t body_read,
         file_->ReadAt(offset_ + kFrameHeaderBytes,
-                      frame.data() + kFrameHeaderBytes,
+                      frame_.data() + kFrameHeaderBytes,
                       total - kFrameHeaderBytes));
     fs = body_read < total - kFrameHeaderBytes
              ? FrameStatus::kBad
-             : InspectFrame(frame.data(), total, kMaxLogRecordBody, &total,
+             : InspectFrame(frame_.data(), total, kMaxLogRecordBody, &total,
                             nullptr);
   }
   if (fs != FrameStatus::kFrame) {
@@ -124,7 +124,7 @@ Result<bool> LogReader::Next(LogRecord* out) {
   }
   // An empty body fails the type-byte read below: a length of 0 is a
   // frame the writer never produces.
-  ByteReader reader(frame.data() + kFrameHeaderBytes,
+  ByteReader reader(frame_.data() + kFrameHeaderBytes,
                     total - kFrameHeaderBytes);
   Result<uint8_t> type = reader.ReadU8();
   Result<std::string> key =

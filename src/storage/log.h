@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
@@ -158,6 +159,9 @@ class LogReader {
   explicit LogReader(std::unique_ptr<VfsFile> file) : file_(std::move(file)) {}
 
   std::unique_ptr<VfsFile> file_;
+  /// Next's frame buffer, kept across records so a tailing reader does
+  /// not allocate per record; it grows to the largest frame read.
+  std::vector<uint8_t> frame_;
   uint64_t offset_ = 0;
   bool saw_corrupt_tail_ = false;
   bool done_ = false;

@@ -35,6 +35,7 @@
 #include "serve/server.h"
 #include "serve/socket.h"
 #include "storage/fault_vfs.h"
+#include "storage/log.h"
 #include "storage/vfs.h"
 #include "test_util.h"
 #include "types/parse.h"
@@ -1284,6 +1285,69 @@ TEST(ServeTest, RemoteFollowerConvergesOverSocketpair) {
   h.server->Stop();
 }
 
+// A cold follower replays each shard's WAL through the read-ahead
+// window: one kReadChunk per shard fetches everything up to the
+// durable bound, so the RPC count is a small constant (bounds, probes,
+// one fill per shard), not the 2 round trips per record that a header
+// read plus a body read would cost without it (over 8 000 here).
+TEST(ServeTest, WireCatchUpReadsAheadToDurableBound) {
+  FaultVfs vfs(11);
+  auto wdb = WalDatabase::Open(&vfs, "db", WalOptions{{1, true}, 2});
+  ASSERT_TRUE(wdb.ok()) << wdb.status();
+  ASSERT_TRUE(wdb->get()->RegisterExtent("recs", RecT()).ok());
+  constexpr int kRecords = 2000;
+  for (int i = 0; i < kRecords; ++i) {
+    ASSERT_TRUE(wdb->get()->InsertValue(Rec(i)).ok());
+  }
+  ASSERT_TRUE(wdb->get()->Commit().ok());
+
+  PairHarness h = StartPairServer(wdb->get(), /*workers=*/1, /*clients=*/0);
+  auto pair = Socket::Pair();
+  ASSERT_TRUE(pair.ok()) << pair.status();
+  ASSERT_TRUE(h.server->AdoptConnection(std::move(pair->first)).ok());
+  auto shipper = RemoteShipper::Adopt(std::move(pair->second));
+  ASSERT_TRUE(shipper.ok()) << shipper.status();
+
+  persist::Replica follower;
+  ASSERT_TRUE(follower.Attach(shipper->get()).ok());
+  ExpectConverged(wdb->get()->db(), follower.db());
+  EXPECT_EQ(follower.stats().bootstraps, 1u);
+  EXPECT_LE((*shipper)->stats().rpcs, 16u);
+
+  follower.Detach();
+  h.server->Stop();
+}
+
+// A WAL larger than kMaxReadChunk takes more than one window; the
+// record that straddles the first window's end is re-fetched whole.
+TEST(ServeTest, ReadAheadRefillsPastTheChunkCap) {
+  FaultVfs vfs(12);
+  auto wdb = WalDatabase::Open(&vfs, "db", CommitPolicy{1, true});
+  ASSERT_TRUE(wdb.ok()) << wdb.status();
+  ASSERT_TRUE(wdb->get()->RegisterExtent("big", SeqT()).ok());
+  const int n = static_cast<int>(kMaxReadChunk / 65536) + 16;
+  for (int i = 0; i < n; ++i) {
+    ASSERT_TRUE(wdb->get()->InsertValue(BigRec(i, 65536)).ok());
+  }
+  ASSERT_GT(wdb->get()->ship_bounds().shards[0].durable_bytes,
+            kMaxReadChunk);
+
+  PairHarness h = StartPairServer(wdb->get(), /*workers=*/1, /*clients=*/0);
+  auto pair = Socket::Pair();
+  ASSERT_TRUE(pair.ok()) << pair.status();
+  ASSERT_TRUE(h.server->AdoptConnection(std::move(pair->first)).ok());
+  auto shipper = RemoteShipper::Adopt(std::move(pair->second));
+  ASSERT_TRUE(shipper.ok()) << shipper.status();
+
+  persist::Replica follower;
+  ASSERT_TRUE(follower.Attach(shipper->get()).ok());
+  ExpectConverged(wdb->get()->db(), follower.db());
+  EXPECT_LE((*shipper)->stats().rpcs, 12u);
+
+  follower.Detach();
+  h.server->Stop();
+}
+
 TEST(ServeTest, NetworkFollowerReconnectsAfterPrimaryRestart) {
   storage::PosixVfs vfs;
   const std::string dir = FreshDir("wirefollow");
@@ -1447,6 +1511,127 @@ TEST(ServeTest, ClientRejectsOversizeChunk) {
   primary.join();
 }
 
+/// A scripted primary serving `wal` as its one WAL segment while
+/// advertising only `durable` bytes of it as durable. It records every
+/// kReadChunk it is sent in `*reads` (read after the thread is joined)
+/// and pads each nonzero answer with `excess` bytes beyond the range
+/// asked for. There is no checkpoint. Exits when the peer hangs up.
+void RunRecordingPrimary(Socket sock, std::string wal, uint64_t durable,
+                         size_t excess, std::vector<Request>* reads) {
+  while (true) {
+    auto req = RecvRequest(&sock);
+    if (!req.ok()) return;
+    Response resp;
+    resp.id = req->id;
+    resp.op = req->op;
+    if (req->op == ReqOp::kShipBounds) {
+      resp.ship.generation = 1;
+      resp.ship.shards.resize(1);
+      resp.ship.shards[0].durable_bytes = durable;
+      resp.ship.shards[0].epoch = 1;
+    } else if (req->op == ReqOp::kReadChunk) {
+      reads->push_back(*req);
+      if (req->file == ShipFile::kCheckpoint) {
+        resp.status = Status::NotFound("no checkpoint");
+      } else {
+        resp.file_size = wal.size();
+        if (req->offset < wal.size()) {
+          resp.chunk = wal.substr(static_cast<size_t>(req->offset),
+                                  static_cast<size_t>(req->length));
+        }
+        if (req->length > 0) resp.chunk.append(excess, 'x');
+      }
+    }
+    if (!SendResponse(&sock, resp).ok()) return;
+  }
+}
+
+/// A WAL of `n` put records; `*bound` is the byte offset just past
+/// record `durable_records`.
+std::string WalBytes(int n, int durable_records, uint64_t* bound) {
+  FaultVfs vfs(13);
+  auto writer = storage::LogWriter::Open(&vfs, "wal");
+  EXPECT_TRUE(writer.ok()) << writer.status();
+  for (int i = 0; i < n; ++i) {
+    if (i == durable_records) *bound = (*writer)->bytes_written();
+    storage::LogRecord rec{storage::LogRecordType::kPut,
+                           "k" + std::to_string(i), std::string(i % 13, 'v')};
+    EXPECT_TRUE((*writer)->Append(rec).ok());
+  }
+  auto bytes = vfs.ReadFileBytes("wal");
+  EXPECT_TRUE(bytes.ok()) << bytes.status();
+  return std::string(bytes->begin(), bytes->end());
+}
+
+// The window never asks for a byte past the advertised durable bound,
+// even though the primary's file holds more: a follower tailing to the
+// bound fetches it in one read-ahead.
+TEST(ServeTest, ReadAheadStopsAtTheDurableBound) {
+  uint64_t durable = 0;
+  const std::string wal = WalBytes(/*n=*/60, /*durable_records=*/40, &durable);
+  ASSERT_GT(durable, 0u);
+  ASSERT_LT(durable, wal.size());
+  std::vector<Request> reads;
+  auto pair = Socket::Pair();
+  ASSERT_TRUE(pair.ok()) << pair.status();
+  std::thread primary(RunRecordingPrimary, std::move(pair->second), wal,
+                      durable, 0, &reads);
+  {
+    auto shipper = RemoteShipper::Adopt(std::move(pair->first));
+    ASSERT_TRUE(shipper.ok()) << shipper.status();
+    auto reader = storage::LogReader::Open((*shipper)->vfs(),
+                                           (*shipper)->wal_path(0));
+    ASSERT_TRUE(reader.ok()) << reader.status();
+    storage::LogRecord rec;
+    int got = 0;
+    while ((*reader)->offset() < durable) {
+      auto has = (*reader)->Next(&rec);
+      ASSERT_TRUE(has.ok()) << has.status();
+      ASSERT_TRUE(*has);
+      EXPECT_EQ(rec.key, "k" + std::to_string(got));
+      EXPECT_EQ(rec.value, std::string(got % 13, 'v'));
+      ++got;
+    }
+    EXPECT_EQ(got, 40);
+    EXPECT_EQ((*reader)->offset(), durable);
+  }  // the shipper's socket closes here; the scripted primary exits
+  primary.join();
+
+  int fills = 0;
+  for (const Request& r : reads) {
+    EXPECT_LE(r.offset + r.length, durable)
+        << "read of " << r.length << " bytes at " << r.offset;
+    if (r.length > 0) ++fills;
+  }
+  EXPECT_EQ(fills, 1);
+}
+
+// A read-ahead answer longer than the widened request is still
+// rejected before any copy.
+TEST(ServeTest, OversizeReadAheadAnswerIsRejected) {
+  uint64_t durable = 0;
+  const std::string wal = WalBytes(/*n=*/20, /*durable_records=*/20, &durable);
+  durable = wal.size();
+  std::vector<Request> reads;
+  auto pair = Socket::Pair();
+  ASSERT_TRUE(pair.ok()) << pair.status();
+  std::thread primary(RunRecordingPrimary, std::move(pair->second), wal,
+                      durable, 1, &reads);
+  {
+    auto shipper = RemoteShipper::Adopt(std::move(pair->first));
+    ASSERT_TRUE(shipper.ok()) << shipper.status();
+    auto file = (*shipper)->vfs()->Open((*shipper)->wal_path(0),
+                                        storage::OpenMode::kRead);
+    ASSERT_TRUE(file.ok()) << file.status();
+    uint8_t header[kFrameHeaderBytes] = {0};
+    auto got = (*file)->ReadAt(0, header, sizeof(header));
+    EXPECT_EQ(got.status().code(), StatusCode::kCorruption) << got.status();
+  }
+  primary.join();
+  ASSERT_FALSE(reads.empty());
+  EXPECT_EQ(reads.back().length, durable);  // the widened request
+}
+
 TEST(ServeTest, ReconnectAbortsInFlightChunkRead) {
   storage::PosixVfs vfs;
   const std::string dir = FreshDir("reconnabort");
@@ -1514,6 +1699,100 @@ TEST(ServeTest, ReconnectAbortsInFlightChunkRead) {
   // The very next bounds poll runs on the reconnected transport and
   // reports the bumped generation — the re-bootstrap signal.
   EXPECT_GT(shipper->ship_bounds().generation, gen0);
+
+  file.reset();
+  shipper.reset();
+  (*server2)->Stop();
+}
+
+// A read-ahead window dies with its connection: after a reconnect
+// to a different primary incarnation, a read the old window covers
+// must go to the wire and return the new primary's bytes.
+TEST(ServeTest, ReadAheadNeverOutlivesItsConnection) {
+  storage::PosixVfs vfs;
+  const std::string dir_a = FreshDir("readahead_a");
+  const std::string dir_b = FreshDir("readahead_b");
+  uint16_t port = 0;
+  std::unique_ptr<RemoteShipper> shipper;
+  std::unique_ptr<storage::VfsFile> file;
+  std::string old_bytes;
+  {
+    auto wdb = WalDatabase::Open(&vfs, dir_a, CommitPolicy{1, true});
+    ASSERT_TRUE(wdb.ok()) << wdb.status();
+    ASSERT_TRUE(wdb->get()->RegisterExtent("recs", RecT()).ok());
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(wdb->get()->InsertValue(Rec(i)).ok());
+    }
+    ASSERT_TRUE(wdb->get()->Commit().ok());
+    auto bytes = vfs.ReadFileBytes(wdb->get()->wal_path(0));
+    ASSERT_TRUE(bytes.ok()) << bytes.status();
+    old_bytes.assign(bytes->begin(), bytes->end());
+
+    ServeOptions opts;
+    opts.workers = 1;
+    opts.listen = true;
+    opts.port = 0;
+    auto server = Server::Start(wdb->get(), opts);
+    ASSERT_TRUE(server.ok()) << server.status();
+    port = (*server)->port();
+
+    RemoteShipper::Options ropts;
+    ropts.recv_timeout = std::chrono::milliseconds(2000);
+    ropts.backoff_initial = std::chrono::milliseconds(5);
+    ropts.backoff_max = std::chrono::milliseconds(50);
+    ropts.max_reconnect_attempts = 40;
+    auto connected = RemoteShipper::Connect("127.0.0.1", port, ropts);
+    ASSERT_TRUE(connected.ok()) << connected.status();
+    shipper = std::move(*connected);
+
+    // A 16-byte read fills a window with the whole durable segment.
+    auto opened = shipper->vfs()->Open(shipper->wal_path(0),
+                                       storage::OpenMode::kRead);
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    file = std::move(*opened);
+    uint8_t buf[16];
+    auto got = file->ReadAt(0, buf, sizeof(buf));
+    ASSERT_TRUE(got.ok()) << got.status();
+    ASSERT_EQ(*got, sizeof(buf));
+
+    (*server)->Stop();
+  }
+
+  // A different database with the same geometry takes over the port;
+  // its WAL differs from the old one at offset 16.
+  auto wdb2 = WalDatabase::Open(&vfs, dir_b, CommitPolicy{1, true});
+  ASSERT_TRUE(wdb2.ok()) << wdb2.status();
+  ASSERT_TRUE(wdb2->get()->RegisterExtent("others", SeqT()).ok());
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(wdb2->get()->InsertValue(Rec(100 + i)).ok());
+  }
+  ASSERT_TRUE(wdb2->get()->Commit().ok());
+  auto new_file = vfs.ReadFileBytes(wdb2->get()->wal_path(0));
+  ASSERT_TRUE(new_file.ok()) << new_file.status();
+  const std::string new_bytes(new_file->begin(), new_file->end());
+  ASSERT_GE(new_bytes.size(), 32u);
+  ASSERT_NE(new_bytes.substr(16, 16), old_bytes.substr(16, 16));
+  ServeOptions opts2;
+  opts2.workers = 1;
+  opts2.listen = true;
+  opts2.port = port;
+  auto server2 = Server::Start(wdb2->get(), opts2);
+  ASSERT_TRUE(server2.ok()) << server2.status();
+
+  // The bounds poll finds the transport dead and reconnects.
+  shipper->ship_bounds();
+  ASSERT_GE(shipper->stats().reconnects, 1u);
+
+  // Offset 16 lies inside the old window and ahead of its consumed
+  // position, but the window belongs to the dead connection.
+  const uint64_t rpcs = shipper->stats().rpcs;
+  uint8_t buf[16];
+  auto got = file->ReadAt(16, buf, sizeof(buf));
+  ASSERT_TRUE(got.ok()) << got.status();
+  ASSERT_EQ(*got, sizeof(buf));
+  EXPECT_EQ(std::string(reinterpret_cast<const char*>(buf), sizeof(buf)),
+            new_bytes.substr(16, 16));
+  EXPECT_GT(shipper->stats().rpcs, rpcs);
 
   file.reset();
   shipper.reset();
