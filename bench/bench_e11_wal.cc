@@ -24,8 +24,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <unistd.h>
-
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -34,34 +32,21 @@
 #include <string>
 #include <vector>
 
-#include "core/value.h"
 #include "dyndb/database.h"
 #include "persist/database_io.h"
 #include "persist/wal_database.h"
 
 #include "bench_json.h"
+#include "bench_util.h"
 
 namespace {
 
-using dbpl::core::Value;
+using dbpl::bench::FreshDir;
+using dbpl::bench::MakeRec;
 using dbpl::dyndb::Database;
 using dbpl::persist::CommitPolicy;
 using dbpl::persist::WalDatabase;
-
-Value MakeRec(int64_t i) {
-  return Value::RecordOf({{"seq", Value::Int(i)},
-                          {"name", Value::String("r" + std::to_string(i % 97))},
-                          {"flag", Value::Bool((i & 1) != 0)}});
-}
-
-std::string FreshDir() {
-  static int counter = 0;
-  std::string dir = std::filesystem::temp_directory_path() /
-                    ("dbpl_bench_e11_" + std::to_string(::getpid()) + "_" +
-                     std::to_string(counter++));
-  std::filesystem::remove_all(dir);
-  return dir;
-}
+using dbpl::storage::Vfs;
 
 /// Per-run context: a WAL database pre-seeded with n entries and then
 /// checkpointed, so the measured loop starts from an empty log.
@@ -76,8 +61,8 @@ Ctx* g_ctx = nullptr;
 
 void SetupWal(const benchmark::State& state, CommitPolicy policy) {
   g_ctx = new Ctx;
-  g_ctx->dir = FreshDir();
-  auto wdb = WalDatabase::Open(g_ctx->dir, policy);
+  g_ctx->dir = FreshDir("dbpl_bench_e11_");
+  auto wdb = WalDatabase::Open(Vfs::Default(), g_ctx->dir, policy);
   if (!wdb.ok()) {
     std::cerr << "bench_e11: open failed: " << wdb.status() << "\n";
     std::abort();
@@ -101,7 +86,7 @@ void SetupWalGrouped(const benchmark::State& state) {
 
 void SetupSnapshotBaseline(const benchmark::State& state) {
   g_ctx = new Ctx;
-  g_ctx->dir = FreshDir();
+  g_ctx->dir = FreshDir("dbpl_bench_e11_");
   std::filesystem::create_directories(g_ctx->dir);
   const int64_t n = state.range(0);
   for (int64_t i = 0; i < n; ++i) g_ctx->db.MustInsertValue(MakeRec(i));
@@ -151,7 +136,7 @@ void BM_SnapshotSaveAfterInsert(benchmark::State& state) {
   const std::string path = g_ctx->dir + "/image.dbpl";
   for (auto _ : state) {
     g_ctx->db.MustInsertValue(MakeRec(g_ctx->next++));
-    if (!dbpl::persist::SaveSnapshot(dbpl::storage::Vfs::Default(), path,
+    if (!dbpl::persist::SaveSnapshot(Vfs::Default(), path,
                                      g_ctx->db.GetSnapshot()).ok()) {
       state.SkipWithError("save failed");
       return;

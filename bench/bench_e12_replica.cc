@@ -27,8 +27,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -39,35 +37,22 @@
 #include <string>
 #include <vector>
 
-#include "core/value.h"
 #include "dyndb/database.h"
 #include "persist/replica.h"
 #include "persist/wal_database.h"
 
 #include "bench_json.h"
+#include "bench_util.h"
 
 namespace {
 
-using dbpl::core::Value;
+using dbpl::bench::FreshDir;
+using dbpl::bench::MakeRec;
 using dbpl::dyndb::Database;
 using dbpl::persist::CommitPolicy;
 using dbpl::persist::Replica;
 using dbpl::persist::WalDatabase;
-
-Value MakeRec(int64_t i) {
-  return Value::RecordOf({{"seq", Value::Int(i)},
-                          {"name", Value::String("r" + std::to_string(i % 97))},
-                          {"flag", Value::Bool((i & 1) != 0)}});
-}
-
-std::string FreshDir() {
-  static int counter = 0;
-  std::string dir = std::filesystem::temp_directory_path() /
-                    ("dbpl_bench_e12_" + std::to_string(::getpid()) + "_" +
-                     std::to_string(counter++));
-  std::filesystem::remove_all(dir);
-  return dir;
-}
+using dbpl::storage::Vfs;
 
 struct Ctx {
   std::string dir;
@@ -81,8 +66,8 @@ Ctx* g_ctx = nullptr;
 void SetupPrimary(const benchmark::State& state, CommitPolicy policy,
                   int64_t seed_n, int followers) {
   g_ctx = new Ctx;
-  g_ctx->dir = FreshDir();
-  auto wdb = WalDatabase::Open(g_ctx->dir, policy);
+  g_ctx->dir = FreshDir("dbpl_bench_e12_");
+  auto wdb = WalDatabase::Open(Vfs::Default(), g_ctx->dir, policy);
   if (!wdb.ok()) {
     std::cerr << "bench_e12: open failed: " << wdb.status() << "\n";
     std::abort();

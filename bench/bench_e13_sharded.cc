@@ -28,8 +28,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <unistd.h>
-
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -38,36 +36,22 @@
 #include <string>
 #include <vector>
 
-#include "core/value.h"
 #include "dyndb/database.h"
 #include "persist/wal_database.h"
 #include "storage/vfs.h"
 
 #include "bench_json.h"
+#include "bench_util.h"
 
 namespace {
 
-using dbpl::core::Value;
+using dbpl::bench::FreshDir;
+using dbpl::bench::MakeRec;
 using dbpl::dyndb::Database;
 using dbpl::dyndb::DatabaseOptions;
 using dbpl::persist::CommitPolicy;
 using dbpl::persist::WalDatabase;
 using dbpl::persist::WalOptions;
-
-Value MakeRec(int64_t i) {
-  return Value::RecordOf({{"seq", Value::Int(i)},
-                          {"name", Value::String("r" + std::to_string(i % 97))},
-                          {"flag", Value::Bool((i & 1) != 0)}});
-}
-
-std::string FreshDir() {
-  static int counter = 0;
-  std::string dir = std::filesystem::temp_directory_path() /
-                    ("dbpl_bench_e13_" + std::to_string(::getpid()) + "_" +
-                     std::to_string(counter++));
-  std::filesystem::remove_all(dir);
-  return dir;
-}
 
 struct Ctx {
   std::string dir;
@@ -85,7 +69,7 @@ void SetupMemory(const benchmark::State& state) {
 
 void SetupWal(const benchmark::State& state) {
   g_ctx = new Ctx;
-  g_ctx->dir = FreshDir();
+  g_ctx->dir = FreshDir("dbpl_bench_e13_");
   auto wdb = WalDatabase::Open(
       dbpl::storage::Vfs::Default(), g_ctx->dir,
       WalOptions{CommitPolicy{8, true}, static_cast<int>(state.range(0))});
@@ -98,7 +82,7 @@ void SetupWal(const benchmark::State& state) {
 
 void SetupCheckpoint(const benchmark::State& state) {
   g_ctx = new Ctx;
-  g_ctx->dir = FreshDir();
+  g_ctx->dir = FreshDir("dbpl_bench_e13_");
   auto wdb = WalDatabase::Open(
       dbpl::storage::Vfs::Default(), g_ctx->dir,
       WalOptions{CommitPolicy{64, true}, static_cast<int>(state.range(0))});

@@ -27,8 +27,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -39,38 +37,25 @@
 #include <string>
 #include <vector>
 
-#include "core/value.h"
 #include "persist/replica.h"
 #include "persist/wal_database.h"
 #include "serve/remote_shipper.h"
 #include "serve/server.h"
 
 #include "bench_json.h"
+#include "bench_util.h"
 
 namespace {
 
-using dbpl::core::Value;
+using dbpl::bench::FreshDir;
+using dbpl::bench::MakeRec;
 using dbpl::persist::CommitPolicy;
 using dbpl::persist::Replica;
 using dbpl::persist::WalDatabase;
 using dbpl::serve::RemoteShipper;
 using dbpl::serve::ServeOptions;
 using dbpl::serve::Server;
-
-Value MakeRec(int64_t i) {
-  return Value::RecordOf({{"seq", Value::Int(i)},
-                          {"name", Value::String("r" + std::to_string(i % 97))},
-                          {"flag", Value::Bool((i & 1) != 0)}});
-}
-
-std::string FreshDir() {
-  static int counter = 0;
-  std::string dir = std::filesystem::temp_directory_path() /
-                    ("dbpl_bench_e15_" + std::to_string(::getpid()) + "_" +
-                     std::to_string(counter++));
-  std::filesystem::remove_all(dir);
-  return dir;
-}
+using dbpl::storage::Vfs;
 
 struct Ctx {
   std::string dir;
@@ -101,8 +86,8 @@ std::unique_ptr<RemoteShipper> Dial() {
 void SetupPrimary(const benchmark::State& state, CommitPolicy policy,
                   int64_t seed_n, bool wire_follower) {
   g_ctx = new Ctx;
-  g_ctx->dir = FreshDir();
-  auto wdb = WalDatabase::Open(g_ctx->dir, policy);
+  g_ctx->dir = FreshDir("dbpl_bench_e15_");
+  auto wdb = WalDatabase::Open(Vfs::Default(), g_ctx->dir, policy);
   if (!wdb.ok()) {
     std::cerr << "bench_e15: open failed: " << wdb.status() << "\n";
     std::abort();

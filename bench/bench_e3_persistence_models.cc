@@ -32,6 +32,7 @@ namespace {
 using dbpl::core::Heap;
 using dbpl::core::Oid;
 using dbpl::core::Value;
+using dbpl::storage::Vfs;
 
 constexpr int64_t kTouched = 16;
 
@@ -76,7 +77,7 @@ void BM_SnapshotPersistence(benchmark::State& state) {
   for (auto _ : state) {
     TouchSome(heap, oids, round++);
     benchmark::DoNotOptimize(
-        dbpl::persist::SnapshotStore::Save(path, heap, roots));
+        dbpl::persist::SnapshotStore::Save(Vfs::Default(), path, heap, roots));
   }
   std::remove(path.c_str());
   state.counters["n"] = static_cast<double>(n);
@@ -85,7 +86,7 @@ void BM_SnapshotPersistence(benchmark::State& state) {
 void BM_ReplicatingPersistence(benchmark::State& state) {
   int64_t n = state.range(0);
   const std::string dir = TempPath("repl");
-  auto store = dbpl::persist::ReplicatingStore::Open(dir);
+  auto store = dbpl::persist::ReplicatingStore::Open(Vfs::Default(), dir);
   Heap heap;
   std::vector<Oid> oids;
   Oid root = FillHeap(heap, n, &oids);
@@ -104,7 +105,7 @@ void BM_IntrinsicPersistence(benchmark::State& state) {
   int64_t n = state.range(0);
   const std::string path = TempPath("intrinsic");
   std::remove(path.c_str());
-  auto store = dbpl::persist::IntrinsicStore::Open(path);
+  auto store = dbpl::persist::IntrinsicStore::Open(Vfs::Default(), path);
   Heap& heap = (*store)->heap();
   std::vector<Oid> oids;
   Oid root = FillHeap(heap, n, &oids);
@@ -128,7 +129,7 @@ void BM_IntrinsicCompaction(benchmark::State& state) {
     state.PauseTiming();
     const std::string path = TempPath("compact");
     std::remove(path.c_str());
-    auto store = dbpl::persist::IntrinsicStore::Open(path);
+    auto store = dbpl::persist::IntrinsicStore::Open(Vfs::Default(), path);
     Heap& heap = (*store)->heap();
     std::vector<Oid> oids;
     Oid root = FillHeap(heap, n, &oids);

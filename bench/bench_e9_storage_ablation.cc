@@ -26,6 +26,7 @@ namespace {
 
 using dbpl::storage::KvStore;
 using dbpl::storage::PagedStore;
+using dbpl::storage::Vfs;
 using dbpl::storage::WriteBatch;
 
 std::string TempPath(const std::string& name) {
@@ -40,7 +41,7 @@ void BM_PagedStoreCommit(benchmark::State& state) {
   int64_t batch_size = state.range(0);
   const std::string path = TempPath("paged");
   std::remove(path.c_str());
-  auto store = PagedStore::Open(path);
+  auto store = PagedStore::Open(Vfs::Default(), path);
   int64_t round = 0;
   for (auto _ : state) {
     for (int64_t i = 0; i < batch_size; ++i) {
@@ -58,7 +59,7 @@ void BM_LogStoreCommit(benchmark::State& state) {
   int64_t batch_size = state.range(0);
   const std::string path = TempPath("log");
   std::remove(path.c_str());
-  auto store = KvStore::Open(path);
+  auto store = KvStore::Open(Vfs::Default(), path);
   int64_t round = 0;
   for (auto _ : state) {
     WriteBatch batch;
@@ -75,7 +76,7 @@ void BM_LogStoreCommit(benchmark::State& state) {
 void BM_PagedStoreHotReads(benchmark::State& state) {
   const std::string path = TempPath("paged_read");
   std::remove(path.c_str());
-  auto store = PagedStore::Open(path);
+  auto store = PagedStore::Open(Vfs::Default(), path);
   for (int64_t i = 0; i < 1024; ++i) {
     (void)(*store)->Put("key" + std::to_string(i), ValueFor(i));
   }
@@ -92,7 +93,7 @@ void BM_PagedStoreHotReads(benchmark::State& state) {
 void BM_LogStoreHotReads(benchmark::State& state) {
   const std::string path = TempPath("log_read");
   std::remove(path.c_str());
-  auto store = KvStore::Open(path);
+  auto store = KvStore::Open(Vfs::Default(), path);
   WriteBatch batch;
   for (int64_t i = 0; i < 1024; ++i) {
     batch.Put("key" + std::to_string(i), ValueFor(i));
@@ -113,7 +114,7 @@ void BM_LogStoreRecovery(benchmark::State& state) {
   const std::string path = TempPath("recovery");
   std::remove(path.c_str());
   {
-    auto store = KvStore::Open(path);
+    auto store = KvStore::Open(Vfs::Default(), path);
     for (int64_t r = 0; r < rounds; ++r) {
       WriteBatch batch;
       for (int64_t i = 0; i < 64; ++i) {
@@ -123,7 +124,7 @@ void BM_LogStoreRecovery(benchmark::State& state) {
     }
   }
   for (auto _ : state) {
-    auto store = KvStore::Open(path);
+    auto store = KvStore::Open(Vfs::Default(), path);
     benchmark::DoNotOptimize(store);
   }
   std::remove(path.c_str());
@@ -135,7 +136,7 @@ void BM_PagedStoreRecovery(benchmark::State& state) {
   const std::string path = TempPath("paged_recovery");
   std::remove(path.c_str());
   {
-    auto store = PagedStore::Open(path);
+    auto store = PagedStore::Open(Vfs::Default(), path);
     for (int64_t r = 0; r < rounds; ++r) {
       for (int64_t i = 0; i < 64; ++i) {
         (void)(*store)->Put("key" + std::to_string(i), ValueFor(r));
@@ -144,7 +145,7 @@ void BM_PagedStoreRecovery(benchmark::State& state) {
     }
   }
   for (auto _ : state) {
-    auto store = PagedStore::Open(path);
+    auto store = PagedStore::Open(Vfs::Default(), path);
     benchmark::DoNotOptimize(store);
   }
   std::remove(path.c_str());

@@ -23,6 +23,7 @@
 using dbpl::core::Heap;
 using dbpl::core::Oid;
 using dbpl::core::Value;
+using dbpl::storage::Vfs;
 
 namespace {
 
@@ -115,7 +116,7 @@ void StripMemos(Heap& heap) {
 int main() {
   const std::string path = "/tmp/dbpl_bom.db";
   std::remove(path.c_str());
-  auto store = dbpl::persist::IntrinsicStore::Open(path);
+  auto store = dbpl::persist::IntrinsicStore::Open(Vfs::Default(), path);
   Heap& heap = (*store)->heap();
 
   // Build a parts DAG with heavy sharing: each level uses the previous
@@ -151,7 +152,7 @@ int main() {
 
   // Reopen and verify no memo ever persisted.
   store->reset();
-  auto reopened = dbpl::persist::IntrinsicStore::Open(path);
+  auto reopened = dbpl::persist::IntrinsicStore::Open(Vfs::Default(), path);
   bool any_memo = false;
   for (Oid oid : (*reopened)->heap().Oids()) {
     Value v = *(*reopened)->heap().Get(oid);

@@ -18,6 +18,7 @@
 #include "types/type_of.h"
 
 using dbpl::core::Value;
+using dbpl::storage::Vfs;
 using dbpl::types::Type;
 
 int main() {
@@ -75,13 +76,13 @@ int main() {
   const std::string path = "/tmp/dbpl_quickstart.db";
   std::remove(path.c_str());
   {
-    auto store = dbpl::persist::IntrinsicStore::Open(path);
+    auto store = dbpl::persist::IntrinsicStore::Open(Vfs::Default(), path);
     auto oid = (*store)->heap().Allocate(o2);
     (void)(*store)->SetRoot("employee_of_the_month", oid);
     (void)(*store)->Commit();
   }
   {
-    auto store = dbpl::persist::IntrinsicStore::Open(path);
+    auto store = dbpl::persist::IntrinsicStore::Open(Vfs::Default(), path);
     auto oid = (*store)->GetRoot("employee_of_the_month");
     std::cout << "reloaded: " << *(*store)->heap().Get(*oid) << "\n\n";
   }

@@ -20,6 +20,7 @@
 
 using dbpl::core::Value;
 using dbpl::persist::IntrinsicStore;
+using dbpl::storage::Vfs;
 using dbpl::types::ParseType;
 
 int main() {
@@ -35,7 +36,7 @@ int main() {
 
   // ---- Program version 1: create the database at schema v1. --------
   {
-    auto store = IntrinsicStore::Open(path);
+    auto store = IntrinsicStore::Open(Vfs::Default(), path);
     auto db = (*store)->heap().Allocate(Value::RecordOf(
         {{"Employees",
           Value::Set({Value::RecordOf({{"Name", Value::String("J Doe")}})})}}));
@@ -46,7 +47,7 @@ int main() {
 
   // ---- Program version 2: recompiled with new fields (enrichment). -
   {
-    auto store = IntrinsicStore::Open(path);
+    auto store = IntrinsicStore::Open(Vfs::Default(), path);
     std::cout << "opening stored v1 at v2 is classified as: "
               << dbpl::persist::SchemaCompatName(
                      dbpl::persist::ClassifySchema(v1, v2))
@@ -64,7 +65,7 @@ int main() {
   // ---- Program version 3: a *sibling* enrichment (v3 deepens
   //      Employees); the recorded schema becomes the common subtype. --
   {
-    auto store = IntrinsicStore::Open(path);
+    auto store = IntrinsicStore::Open(Vfs::Default(), path);
     auto stored = *(*store)->RootType("DB");
     std::cout << "opening stored schema at v3 is classified as: "
               << dbpl::persist::SchemaCompatName(
@@ -82,7 +83,7 @@ int main() {
 
   // ---- Re-opening at the ORIGINAL v1 still works: it is a view. ----
   {
-    auto store = IntrinsicStore::Open(path);
+    auto store = IntrinsicStore::Open(Vfs::Default(), path);
     auto oid = (*store)->OpenRootChecked("DB", v1);
     std::cout << "re-opening at the original v1: "
               << (oid.ok() ? "OK (a view; nothing was lost)" : "FAILED")
@@ -94,7 +95,7 @@ int main() {
 
   // ---- A contradictory recompilation is rejected. -------------------
   {
-    auto store = IntrinsicStore::Open(path);
+    auto store = IntrinsicStore::Open(Vfs::Default(), path);
     auto oid = (*store)->OpenRootChecked("DB", bad);
     std::cout << "opening at {Employees: Int}: " << oid.status() << "\n";
   }

@@ -9,7 +9,7 @@ namespace dbpl::lang {
 Interp::Interp(const std::string& persist_dir) {
   if (!persist_dir.empty()) {
     Result<std::unique_ptr<persist::ReplicatingStore>> store =
-        persist::ReplicatingStore::Open(persist_dir);
+        persist::ReplicatingStore::Open(storage::Vfs::Default(), persist_dir);
     if (store.ok()) store_ = std::move(store).value();
   }
   checker_ = std::make_unique<TypeChecker>();

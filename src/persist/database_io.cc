@@ -1,6 +1,6 @@
 #include "persist/database_io.h"
 
-#include "persist/file_util.h"
+#include "persist/wal_database.h"
 #include "serial/decoder.h"
 #include "serial/encoder.h"
 
@@ -25,12 +25,12 @@ Status SaveSnapshot(storage::Vfs* vfs, const std::string& path,
     serial::EncodeType(d.type, &out);
     serial::EncodeValue(d.value, &out);
   });
-  return WriteFileAtomic(vfs, path, out);
+  return vfs->WriteFileAtomic(path, out);
 }
 
 Result<dyndb::Database> LoadDatabase(storage::Vfs* vfs,
                                      const std::string& path) {
-  DBPL_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFileBytes(vfs, path));
+  DBPL_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, vfs->ReadFileBytes(path));
   ByteReader in(bytes.data(), bytes.size());
   DBPL_RETURN_IF_ERROR(serial::DecodeHeader(&in));
   DBPL_ASSIGN_OR_RETURN(uint64_t count, in.ReadVarint());
@@ -78,12 +78,12 @@ Status SaveCheckpoint(storage::Vfs* vfs, const std::string& path,
       serial::EncodeValue(d.value, &out);
     });
   }
-  return WriteFileAtomic(vfs, path, out);
+  return vfs->WriteFileAtomic(path, out);
 }
 
 Result<CheckpointImage> ReadCheckpoint(storage::Vfs* vfs,
                                        const std::string& path) {
-  DBPL_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFileBytes(vfs, path));
+  DBPL_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, vfs->ReadFileBytes(path));
   ByteReader in(bytes.data(), bytes.size());
   DBPL_RETURN_IF_ERROR(serial::DecodeHeader(&in));
   CheckpointImage image;
@@ -143,19 +143,8 @@ Result<dyndb::Database> LoadCheckpoint(storage::Vfs* vfs,
                                        const std::string& path) {
   DBPL_ASSIGN_OR_RETURN(CheckpointImage image, ReadCheckpoint(vfs, path));
   dyndb::Database db(dyndb::DatabaseOptions{image.shards});
-  for (auto& [name, type] : image.extents) {
-    DBPL_RETURN_IF_ERROR(db.RegisterExtent(name, std::move(type)));
-  }
-  const int k = image.shards;
-  for (int s = 0; s < k; ++s) {
-    for (size_t seq = 0; seq < image.entries[s].size(); ++seq) {
-      DBPL_RETURN_IF_ERROR(db.InsertAt(
-          static_cast<dyndb::Database::EntryId>(seq) *
-                  static_cast<dyndb::Database::EntryId>(k) +
-              static_cast<dyndb::Database::EntryId>(s),
-          std::move(image.entries[s][seq])));
-    }
-  }
+  WalRecoveryStats stats;
+  DBPL_RETURN_IF_ERROR(ApplyCheckpoint(&db, &image, &stats));
   return db;
 }
 

@@ -47,12 +47,12 @@ Status SaveCheckpoint(storage::Vfs* vfs, const std::string& path,
 Result<dyndb::Database> LoadCheckpoint(storage::Vfs* vfs,
                                        const std::string& path);
 
-/// A decoded checkpoint, before any database is built from it. Used by
-/// persist::Replica for *incremental* bootstrap: a follower that
-/// already holds a prefix of the primary's history applies only the
-/// checkpoint's suffix (per shard, entries from its own shard size
-/// onward; extents it has not registered yet) instead of rebuilding
-/// from scratch.
+/// A decoded checkpoint, before any database is built from it.
+/// `ApplyCheckpoint` (wal_database.h) applies it *incrementally*: a
+/// follower that already holds a prefix of the primary's history
+/// applies only the checkpoint's suffix (per shard, entries from its
+/// own shard size onward; extents it has not registered yet) instead
+/// of rebuilding from scratch.
 ///
 /// Checkpoints of a single-shard database use the original (v1) wire
 /// format unchanged; a sharded database writes a v2 image that records

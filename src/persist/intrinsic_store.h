@@ -40,11 +40,6 @@ class IntrinsicStore {
   /// (which must outlive the store).
   static Result<std::unique_ptr<IntrinsicStore>> Open(storage::Vfs* vfs,
                                                       const std::string& path);
-  /// As above, on the production VFS.
-  static Result<std::unique_ptr<IntrinsicStore>> Open(
-      const std::string& path) {
-    return Open(storage::Vfs::Default(), path);
-  }
 
   /// The program-visible heap. Mutations are transient until `Commit`.
   core::Heap& heap() { return heap_; }

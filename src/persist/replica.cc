@@ -125,32 +125,9 @@ Status Replica::BootstrapLocked(const WalShipper::ShipState& state) {
           "checkpoint has " + std::to_string(image.shards) +
           " shards; shipper has " + std::to_string(k));
     }
-    // Incremental apply. Any complete checkpoint from this primary is,
-    // per shard, an insertion-order prefix of the shared history, so
-    // the follower either already covers a shard (nothing to do) or
-    // extends it with the checkpoint's suffix. Ids align by
-    // construction.
-    for (auto& [name, type] : image.extents) {
-      Status registered = db_.RegisterExtent(name, std::move(type));
-      if (registered.ok()) {
-        ++applied_.replayed_extents;
-      } else if (registered.code() == StatusCode::kAlreadyExists) {
-        ++applied_.skipped_records;
-      } else {
-        return registered;
-      }
-    }
-    const Database::Snapshot snap = db_.GetSnapshot();
-    for (int s = 0; s < k; ++s) {
-      auto& entries = image.entries[static_cast<size_t>(s)];
-      for (uint64_t seq = snap.shard_size(s); seq < entries.size(); ++seq) {
-        DBPL_RETURN_IF_ERROR(
-            db_.InsertAt(seq * static_cast<uint64_t>(k) +
-                             static_cast<uint64_t>(s),
-                         std::move(entries[static_cast<size_t>(seq)])));
-        ++applied_.replayed_inserts;
-      }
-    }
+    // The follower either already covers a shard (nothing to do) or
+    // extends it with the checkpoint's suffix.
+    DBPL_RETURN_IF_ERROR(ApplyCheckpoint(&db_, &image, &applied_));
   }
   // Restart every cursor at the top of its (possibly rotated) segment.
   // A segment may legitimately not exist yet on a fresh primary.

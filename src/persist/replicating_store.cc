@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "persist/file_util.h"
 #include "serial/decoder.h"
 #include "serial/encoder.h"
 #include "types/subtype.h"
@@ -107,12 +106,12 @@ Status ReplicatingStore::Extern(const std::string& handle,
     serial::EncodeType(types::TypeOf(*obj), &out);
     serial::EncodeValue(local_obj, &out);
   }
-  return WriteFileAtomic(vfs_, FilePath(handle), out);
+  return vfs_->WriteFileAtomic(FilePath(handle), out);
 }
 
 Result<dyndb::Dynamic> ReplicatingStore::Intern(const std::string& handle,
                                                 core::Heap* into) {
-  Result<std::vector<uint8_t>> bytes = ReadFileBytes(vfs_, FilePath(handle));
+  Result<std::vector<uint8_t>> bytes = vfs_->ReadFileBytes(FilePath(handle));
   if (!bytes.ok()) {
     if (bytes.status().code() == StatusCode::kNotFound) {
       return Status::NotFound("no such handle: " + handle);
@@ -169,15 +168,15 @@ Result<core::Value> ReplicatingStore::InternAs(const std::string& handle,
 }
 
 bool ReplicatingStore::HasHandle(const std::string& handle) const {
-  return FileExists(vfs_, FilePath(handle));
+  return vfs_->Exists(FilePath(handle));
 }
 
 Status ReplicatingStore::Drop(const std::string& handle) {
-  if (!HasHandle(handle)) {
+  Status s = vfs_->Remove(FilePath(handle));
+  if (s.code() == StatusCode::kNotFound) {
     return Status::NotFound("no such handle: " + handle);
   }
-  RemoveFileIfExists(vfs_, FilePath(handle));
-  return Status::OK();
+  return s;
 }
 
 std::vector<std::string> ReplicatingStore::Handles() const {

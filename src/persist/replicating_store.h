@@ -36,11 +36,6 @@ class ReplicatingStore {
   /// one self-describing file `<directory>/<handle>.dbpl`.
   static Result<std::unique_ptr<ReplicatingStore>> Open(
       storage::Vfs* vfs, const std::string& directory);
-  /// As above, on the production VFS.
-  static Result<std::unique_ptr<ReplicatingStore>> Open(
-      const std::string& directory) {
-    return Open(storage::Vfs::Default(), directory);
-  }
 
   /// Amber's `extern 'handle' (dynamic d)`. When `heap` is non-null,
   /// every object reachable from d through Ref values is replicated
@@ -62,6 +57,8 @@ class ReplicatingStore {
                                core::Heap* into = nullptr);
 
   bool HasHandle(const std::string& handle) const;
+  /// Removes the handle's file: NotFound when there is no such handle,
+  /// and the Vfs's error when the remove fails.
   Status Drop(const std::string& handle);
   std::vector<std::string> Handles() const;
 

@@ -1,6 +1,5 @@
 #include "persist/snapshot_store.h"
 
-#include "persist/file_util.h"
 #include "serial/decoder.h"
 #include "serial/encoder.h"
 #include "types/type_of.h"
@@ -28,12 +27,12 @@ Status SnapshotStore::Save(storage::Vfs* vfs, const std::string& path,
     serial::EncodeType(types::TypeOf(*v), &out);
     serial::EncodeValue(*v, &out);
   }
-  return WriteFileAtomic(vfs, path, out);
+  return vfs->WriteFileAtomic(path, out);
 }
 
 Result<SnapshotStore::Image> SnapshotStore::Load(storage::Vfs* vfs,
                                                  const std::string& path) {
-  DBPL_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFileBytes(vfs, path));
+  DBPL_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, vfs->ReadFileBytes(path));
   ByteReader in(bytes.data(), bytes.size());
   DBPL_RETURN_IF_ERROR(serial::DecodeHeader(&in));
   Image image;
@@ -65,12 +64,12 @@ Status SnapshotStore::SaveValue(storage::Vfs* vfs, const std::string& path,
                                 const dyndb::Dynamic& d) {
   ByteBuffer out;
   serial::EncodeDynamic(d, &out);
-  return WriteFileAtomic(vfs, path, out);
+  return vfs->WriteFileAtomic(path, out);
 }
 
 Result<dyndb::Dynamic> SnapshotStore::LoadValue(storage::Vfs* vfs,
                                                 const std::string& path) {
-  DBPL_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFileBytes(vfs, path));
+  DBPL_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, vfs->ReadFileBytes(path));
   ByteReader in(bytes.data(), bytes.size());
   DBPL_ASSIGN_OR_RETURN(dyndb::Dynamic d, serial::DecodeDynamic(&in));
   if (!in.AtEnd()) return Status::Corruption("trailing bytes in value file");

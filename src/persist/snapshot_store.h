@@ -35,28 +35,15 @@ class SnapshotStore {
   static Status Save(storage::Vfs* vfs, const std::string& path,
                      const core::Heap& heap,
                      const std::map<std::string, core::Oid>& roots);
-  static Status Save(const std::string& path, const core::Heap& heap,
-                     const std::map<std::string, core::Oid>& roots) {
-    return Save(storage::Vfs::Default(), path, heap, roots);
-  }
 
   /// Reads a whole image back.
   static Result<Image> Load(storage::Vfs* vfs, const std::string& path);
-  static Result<Image> Load(const std::string& path) {
-    return Load(storage::Vfs::Default(), path);
-  }
 
   /// Convenience for single self-describing values (no heap).
   static Status SaveValue(storage::Vfs* vfs, const std::string& path,
                           const dyndb::Dynamic& d);
-  static Status SaveValue(const std::string& path, const dyndb::Dynamic& d) {
-    return SaveValue(storage::Vfs::Default(), path, d);
-  }
   static Result<dyndb::Dynamic> LoadValue(storage::Vfs* vfs,
                                           const std::string& path);
-  static Result<dyndb::Dynamic> LoadValue(const std::string& path) {
-    return LoadValue(storage::Vfs::Default(), path);
-  }
 };
 
 }  // namespace dbpl::persist

@@ -122,6 +122,31 @@ Status ApplyWalBatch(Database* db, std::vector<WalRecord>* batch,
   return Status::OK();
 }
 
+Status ApplyCheckpoint(Database* db, CheckpointImage* image,
+                       WalRecoveryStats* stats) {
+  for (auto& [name, type] : image->extents) {
+    Status s = db->RegisterExtent(name, std::move(type));
+    if (s.ok()) {
+      ++stats->replayed_extents;
+    } else if (s.code() == StatusCode::kAlreadyExists) {
+      ++stats->skipped_records;
+    } else {
+      return s;
+    }
+  }
+  const auto k = static_cast<uint64_t>(image->shards);
+  const Database::Snapshot snap = db->GetSnapshot();
+  for (int s = 0; s < image->shards; ++s) {
+    auto& entries = image->entries[static_cast<size_t>(s)];
+    for (uint64_t seq = snap.shard_size(s); seq < entries.size(); ++seq) {
+      DBPL_RETURN_IF_ERROR(db->InsertAt(seq * k + static_cast<uint64_t>(s),
+                                        std::move(entries[seq])));
+      ++stats->replayed_inserts;
+    }
+  }
+  return Status::OK();
+}
+
 Status WalDatabase::Recover(int requested_shards) {
   int shards = 1;
   if (vfs_->Exists(checkpoint_path_)) {

@@ -11,6 +11,7 @@
 #include "common/result.h"
 #include "dyndb/database.h"
 #include "dyndb/dynamic.h"
+#include "persist/database_io.h"
 #include "persist/wal.h"
 #include "storage/log.h"
 #include "storage/vfs.h"
@@ -144,6 +145,16 @@ class WalShipper {
 Status ApplyWalBatch(dyndb::Database* db, std::vector<WalRecord>* batch,
                      WalRecoveryStats* stats);
 
+/// Applies a decoded checkpoint to `db` incrementally: extents `db`
+/// already has are skips (`stats->skipped_records`), and per shard only
+/// the entries past `db`'s shard size are inserted. Any complete
+/// checkpoint of one history is, per shard, an insertion-order prefix
+/// of it, so ids align by construction. Shared by `LoadCheckpoint` (on
+/// an empty database) and Replica bootstrap. `image->shards` must equal
+/// `db->shards()`; entries are moved out of `*image`.
+Status ApplyCheckpoint(dyndb::Database* db, CheckpointImage* image,
+                       WalRecoveryStats* stats);
+
 /// Write-ahead-log durability for dyndb::Database: persistence as an
 /// *incremental* property of the values written, not an O(database)
 /// snapshot rewrite per save (persist::SaveSnapshot).
@@ -235,11 +246,6 @@ class WalDatabase : public WalShipper {
                                                    const std::string& dir,
                                                    CommitPolicy policy = {}) {
     return Open(vfs, dir, WalOptions{policy, 0});
-  }
-  /// As above, on the production VFS.
-  static Result<std::unique_ptr<WalDatabase>> Open(const std::string& dir,
-                                                   CommitPolicy policy = {}) {
-    return Open(storage::Vfs::Default(), dir, policy);
   }
 
   WalDatabase(const WalDatabase&) = delete;

@@ -54,10 +54,6 @@ class KvStore {
   /// with all I/O through `vfs` (which must outlive the store).
   static Result<std::unique_ptr<KvStore>> Open(Vfs* vfs,
                                                const std::string& path);
-  /// As above, on the production VFS.
-  static Result<std::unique_ptr<KvStore>> Open(const std::string& path) {
-    return Open(Vfs::Default(), path);
-  }
 
   KvStore(const KvStore&) = delete;
   KvStore& operator=(const KvStore&) = delete;

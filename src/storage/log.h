@@ -58,10 +58,6 @@ class LogWriter {
   /// `vfs` must outlive the writer.
   static Result<std::unique_ptr<LogWriter>> Open(Vfs* vfs,
                                                  const std::string& path);
-  /// As above, on the production VFS.
-  static Result<std::unique_ptr<LogWriter>> Open(const std::string& path) {
-    return Open(Vfs::Default(), path);
-  }
 
   LogWriter(const LogWriter&) = delete;
   LogWriter& operator=(const LogWriter&) = delete;
@@ -116,9 +112,6 @@ class LogReader {
   /// reader).
   static Result<std::unique_ptr<LogReader>> Open(Vfs* vfs,
                                                  const std::string& path);
-  static Result<std::unique_ptr<LogReader>> Open(const std::string& path) {
-    return Open(Vfs::Default(), path);
-  }
 
   /// Opens a cursor positioned at `offset`, which must be a
   /// frame-aligned byte offset previously obtained from `offset()`

@@ -35,12 +35,6 @@ class PagedStore {
   static Result<std::unique_ptr<PagedStore>> Open(
       Vfs* vfs, const std::string& path, size_t page_size = kDefaultPageSize,
       size_t cache_pages = 64);
-  /// As above, on the production VFS.
-  static Result<std::unique_ptr<PagedStore>> Open(
-      const std::string& path, size_t page_size = kDefaultPageSize,
-      size_t cache_pages = 64) {
-    return Open(Vfs::Default(), path, page_size, cache_pages);
-  }
 
   PagedStore(const PagedStore&) = delete;
   PagedStore& operator=(const PagedStore&) = delete;

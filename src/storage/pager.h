@@ -30,11 +30,6 @@ class Pager {
   /// size that is a multiple of `page_size`.
   static Result<std::unique_ptr<Pager>> Open(
       Vfs* vfs, const std::string& path, size_t page_size = kDefaultPageSize);
-  /// As above, on the production VFS.
-  static Result<std::unique_ptr<Pager>> Open(
-      const std::string& path, size_t page_size = kDefaultPageSize) {
-    return Open(Vfs::Default(), path, page_size);
-  }
 
   Pager(const Pager&) = delete;
   Pager& operator=(const Pager&) = delete;

@@ -56,9 +56,11 @@ class VfsFile {
 
 /// The seam between the storage/persist layers and the operating
 /// system: every byte the library reads from or writes to disk flows
-/// through a `Vfs`. Production code uses `Vfs::Default()` (POSIX);
-/// tests substitute a `FaultVfs` to inject torn writes, dropped fsyncs
-/// and crashes deterministically (see fault_vfs.h).
+/// through a `Vfs`, and every store takes the `Vfs*` its caller names
+/// (there are no path-only overloads). Production callers pass
+/// `Vfs::Default()` (POSIX); tests substitute a `FaultVfs` to inject
+/// torn writes, dropped fsyncs and crashes deterministically (see
+/// fault_vfs.h).
 ///
 /// A `Vfs` passed to a store must outlive that store.
 class Vfs {

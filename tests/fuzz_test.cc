@@ -154,7 +154,7 @@ TEST(FuzzTest, LogReaderOnRandomFiles) {
       std::fwrite(bytes.data(), 1, bytes.size(), f);
       std::fclose(f);
     }
-    auto reader = storage::LogReader::Open(path);
+    auto reader = storage::LogReader::Open(storage::Vfs::Default(), path);
     ASSERT_TRUE(reader.ok());
     storage::LogRecord record;
     int guard = 0;

@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstdio>
 #include <string>
 
@@ -19,6 +17,7 @@
 #include "relational/ops.h"
 #include "serial/decoder.h"
 #include "serial/encoder.h"
+#include "test_util.h"
 #include "types/parse.h"
 #include "types/type_of.h"
 
@@ -28,12 +27,8 @@ namespace {
 using core::Heap;
 using core::Oid;
 using core::Value;
+using dbpl::testing::TempPath;
 using types::ParseType;
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/dbpl_integration_" + name + "_" +
-         std::to_string(::getpid());
-}
 
 // A full lifecycle: classes over a persistent heap, committed,
 // reloaded, and queried through the dynamic database — classes, Get
@@ -43,7 +38,7 @@ TEST(IntegrationTest, ClassExtentsSurviveIntrinsicPersistence) {
   std::remove(path.c_str());
   std::vector<Oid> employees;
   {
-    auto store = persist::IntrinsicStore::Open(path);
+    auto store = persist::IntrinsicStore::Open(storage::Vfs::Default(), path);
     ASSERT_TRUE(store.ok());
     Heap& heap = (*store)->heap();
     classes::ClassSystem cs(&heap);
@@ -69,7 +64,7 @@ TEST(IntegrationTest, ClassExtentsSurviveIntrinsicPersistence) {
     ASSERT_TRUE((*store)->Commit().ok());
   }
   {
-    auto store = persist::IntrinsicStore::Open(path);
+    auto store = persist::IntrinsicStore::Open(storage::Vfs::Default(), path);
     ASSERT_TRUE(store.ok());
     auto root = (*store)->GetRoot("employees");
     ASSERT_TRUE(root.ok());

@@ -1,21 +1,17 @@
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <string>
 
 #include "lang/interp.h"
 #include "lang/lexer.h"
 #include "lang/parser.h"
 #include "lang/typecheck.h"
+#include "test_util.h"
 
 namespace dbpl::lang {
 namespace {
 
-std::string TempDir(const std::string& name) {
-  return ::testing::TempDir() + "/dbpl_lang_" + name + "_" +
-         std::to_string(::getpid());
-}
+using dbpl::testing::TempPath;
 
 /// Runs a program and returns the values of its expression statements.
 Result<std::vector<std::string>> RunValues(const std::string& src) {
@@ -207,7 +203,7 @@ TEST(PaperTest, JoinOfContradictoryRecordsFails) {
 }
 
 TEST(PaperTest, ExternInternRoundTrip) {
-  std::string dir = TempDir("externintern");
+  std::string dir = TempPath("externintern");
   {
     Interp writer(dir);
     auto out = writer.Run(R"(

@@ -3,8 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstdio>
 #include <string>
 
@@ -25,13 +23,9 @@ namespace {
 using core::Heap;
 using core::Oid;
 using core::Value;
+using dbpl::testing::TempPath;
 using types::ParseType;
 using types::Type;
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/dbpl_more_" + name + "_" +
-         std::to_string(::getpid());
-}
 
 // ---------------------------------------------------------------------
 // Order-theoretic properties of record operations.
@@ -126,7 +120,7 @@ TEST(StorageEnduranceTest, RepeatedReopenIsIdempotent) {
   std::string path = TempPath("reopen");
   std::remove(path.c_str());
   {
-    auto store = storage::KvStore::Open(path);
+    auto store = storage::KvStore::Open(storage::Vfs::Default(), path);
     ASSERT_TRUE(store.ok());
     storage::WriteBatch batch;
     for (int i = 0; i < 100; ++i) {
@@ -135,7 +129,7 @@ TEST(StorageEnduranceTest, RepeatedReopenIsIdempotent) {
     ASSERT_TRUE((*store)->Apply(batch).ok());
   }
   for (int round = 0; round < 5; ++round) {
-    auto store = storage::KvStore::Open(path);
+    auto store = storage::KvStore::Open(storage::Vfs::Default(), path);
     ASSERT_TRUE(store.ok());
     EXPECT_EQ((*store)->size(), 100u);
     EXPECT_FALSE((*store)->recovery_info().corrupt_tail);
@@ -150,13 +144,13 @@ TEST(StorageEnduranceTest, LargeValuesRoundTrip) {
   std::string big(1 << 20, 'x');  // 1 MiB value
   big[12345] = 'y';
   {
-    auto store = storage::KvStore::Open(path);
+    auto store = storage::KvStore::Open(storage::Vfs::Default(), path);
     ASSERT_TRUE(store.ok());
     storage::WriteBatch batch;
     batch.Put("big", big);
     ASSERT_TRUE((*store)->Apply(batch).ok());
   }
-  auto store = storage::KvStore::Open(path);
+  auto store = storage::KvStore::Open(storage::Vfs::Default(), path);
   ASSERT_TRUE(store.ok());
   EXPECT_EQ(*(*store)->Get("big"), big);
   std::remove(path.c_str());
@@ -167,7 +161,7 @@ TEST(IntrinsicEnduranceTest, ManyCommitCyclesAndCompaction) {
   std::remove(path.c_str());
   Oid obj;
   {
-    auto store = persist::IntrinsicStore::Open(path);
+    auto store = persist::IntrinsicStore::Open(storage::Vfs::Default(), path);
     ASSERT_TRUE(store.ok());
     obj = (*store)->heap().Allocate(Value::Int(0));
     ASSERT_TRUE((*store)->SetRoot("counter", obj).ok());
@@ -179,7 +173,7 @@ TEST(IntrinsicEnduranceTest, ManyCommitCyclesAndCompaction) {
       }
     }
   }
-  auto store = persist::IntrinsicStore::Open(path);
+  auto store = persist::IntrinsicStore::Open(storage::Vfs::Default(), path);
   ASSERT_TRUE(store.ok());
   EXPECT_EQ(*(*store)->heap().Get(obj), Value::Int(50));
   std::remove(path.c_str());
@@ -190,7 +184,7 @@ TEST(IntrinsicEnduranceTest, RootTypeSurvivesGcAndReopen) {
   std::remove(path.c_str());
   Type t = *ParseType("{Employees: Set[{Name: String}]}");
   {
-    auto store = persist::IntrinsicStore::Open(path);
+    auto store = persist::IntrinsicStore::Open(storage::Vfs::Default(), path);
     ASSERT_TRUE(store.ok());
     Oid db = (*store)->heap().Allocate(Value::RecordOf(
         {{"Employees", Value::Set({})}}));
@@ -199,7 +193,7 @@ TEST(IntrinsicEnduranceTest, RootTypeSurvivesGcAndReopen) {
     EXPECT_EQ((*store)->CollectGarbage(), 1u);
     ASSERT_TRUE((*store)->Commit().ok());
   }
-  auto store = persist::IntrinsicStore::Open(path);
+  auto store = persist::IntrinsicStore::Open(storage::Vfs::Default(), path);
   ASSERT_TRUE(store.ok());
   EXPECT_EQ(*(*store)->RootType("DB"), t);
   EXPECT_EQ((*store)->heap().size(), 1u);

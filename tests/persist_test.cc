@@ -11,10 +11,11 @@
 #include "persist/database_io.h"
 #include "persist/intrinsic_store.h"
 #include "persist/replicating_store.h"
-#include "persist/file_util.h"
 #include "persist/schema_compat.h"
 #include "persist/snapshot_store.h"
+#include "storage/fault_vfs.h"
 #include "storage/log.h"
+#include "test_util.h"
 #include "types/parse.h"
 
 namespace dbpl::persist {
@@ -23,23 +24,13 @@ namespace {
 using core::Heap;
 using core::Oid;
 using core::Value;
+using dbpl::testing::ScopedFile;
+using dbpl::testing::TempPath;
 using dyndb::Dynamic;
 using dyndb::MakeDynamic;
+using storage::Vfs;
 using types::ParseType;
 using types::Type;
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/dbpl_persist_" + name + "_" +
-         std::to_string(::getpid());
-}
-
-struct ScopedPath {
-  explicit ScopedPath(std::string p) : path(std::move(p)) {
-    std::remove(path.c_str());
-  }
-  ~ScopedPath() { std::remove(path.c_str()); }
-  std::string path;
-};
 
 void CorruptByte(const std::string& path, off_t offset) {
   int fd = ::open(path.c_str(), O_RDWR);
@@ -95,14 +86,16 @@ TEST(SchemaCompatTest, EvolveSchemaNeverLosesStructure) {
 // ---------------------------------------------------------------------
 
 TEST(SnapshotStoreTest, SaveAndLoadWholeImage) {
-  ScopedPath file(TempPath("snap1"));
+  ScopedFile file(TempPath("snap1"));
   Heap heap;
   Oid alice = heap.Allocate(Person("Alice"));
   Oid bob = heap.Allocate(Person("Bob"));
   Oid all = heap.Allocate(Value::List({Value::Ref(alice), Value::Ref(bob)}));
-  ASSERT_TRUE(SnapshotStore::Save(file.path, heap, {{"everyone", all}}).ok());
+  ASSERT_TRUE(SnapshotStore::Save(Vfs::Default(), file.path, heap,
+                                  {{"everyone", all}})
+                  .ok());
 
-  auto image = SnapshotStore::Load(file.path);
+  auto image = SnapshotStore::Load(Vfs::Default(), file.path);
   ASSERT_TRUE(image.ok()) << image.status();
   EXPECT_EQ(image->heap.size(), 3u);
   EXPECT_EQ(image->roots.at("everyone"), all);
@@ -113,50 +106,54 @@ TEST(SnapshotStoreTest, SaveAndLoadWholeImage) {
 TEST(SnapshotStoreTest, OneFlippedBitInvalidatesTheWholeImage) {
   // The paper: "the survival of the database is highly dependent on the
   // integrity of the programming system as a whole".
-  ScopedPath file(TempPath("snap2"));
+  ScopedFile file(TempPath("snap2"));
   Heap heap;
   for (int i = 0; i < 10; ++i) {
     heap.Allocate(Person(("P" + std::to_string(i)).c_str()));
   }
-  ASSERT_TRUE(SnapshotStore::Save(file.path, heap, {}).ok());
+  ASSERT_TRUE(SnapshotStore::Save(Vfs::Default(), file.path, heap, {}).ok());
   CorruptByte(file.path, 40);
-  auto image = SnapshotStore::Load(file.path);
+  auto image = SnapshotStore::Load(Vfs::Default(), file.path);
   EXPECT_FALSE(image.ok());
 }
 
 TEST(SnapshotStoreTest, SaveIsAtomic) {
-  ScopedPath file(TempPath("snap3"));
+  ScopedFile file(TempPath("snap3"));
   Heap heap1;
   heap1.Allocate(Person("V1"));
-  ASSERT_TRUE(SnapshotStore::Save(file.path, heap1, {}).ok());
+  ASSERT_TRUE(SnapshotStore::Save(Vfs::Default(), file.path, heap1, {}).ok());
   // A second save replaces it atomically; the temp file never lingers.
   Heap heap2;
   heap2.Allocate(Person("V2"));
   heap2.Allocate(Person("V2b"));
-  ASSERT_TRUE(SnapshotStore::Save(file.path, heap2, {}).ok());
-  EXPECT_FALSE(FileExists(file.path + ".tmp"));
-  auto image = SnapshotStore::Load(file.path);
+  ASSERT_TRUE(SnapshotStore::Save(Vfs::Default(), file.path, heap2, {}).ok());
+  EXPECT_FALSE(Vfs::Default()->Exists(file.path + ".tmp"));
+  auto image = SnapshotStore::Load(Vfs::Default(), file.path);
   ASSERT_TRUE(image.ok());
   EXPECT_EQ(image->heap.size(), 2u);
 }
 
 TEST(SnapshotStoreTest, RootsMustResolve) {
-  ScopedPath file(TempPath("snap4"));
+  ScopedFile file(TempPath("snap4"));
   Heap heap;
   heap.Allocate(Person("X"));
-  ASSERT_TRUE(SnapshotStore::Save(file.path, heap, {{"bad", 999}}).ok());
-  EXPECT_EQ(SnapshotStore::Load(file.path).status().code(),
+  ASSERT_TRUE(SnapshotStore::Save(Vfs::Default(), file.path, heap,
+                                  {{"bad", 999}})
+                  .ok());
+  EXPECT_EQ(SnapshotStore::Load(Vfs::Default(), file.path).status().code(),
             StatusCode::kCorruption);
 }
 
 TEST(SnapshotStoreTest, SingleValueConvenience) {
-  ScopedPath file(TempPath("snap5"));
+  ScopedFile file(TempPath("snap5"));
   Dynamic d = MakeDynamic(Value::Int(42));
-  ASSERT_TRUE(SnapshotStore::SaveValue(file.path, d).ok());
-  auto back = SnapshotStore::LoadValue(file.path);
+  ASSERT_TRUE(SnapshotStore::SaveValue(Vfs::Default(), file.path, d).ok());
+  auto back = SnapshotStore::LoadValue(Vfs::Default(), file.path);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, d);
-  EXPECT_EQ(SnapshotStore::LoadValue(TempPath("missing")).status().code(),
+  EXPECT_EQ(SnapshotStore::LoadValue(Vfs::Default(), TempPath("missing"))
+                .status()
+                .code(),
             StatusCode::kNotFound);
 }
 
@@ -170,7 +167,7 @@ class ReplicatingStoreTest : public ::testing::Test {
     dir_ = TempPath("repl");
     std::string cmd = "rm -rf " + dir_;
     ASSERT_EQ(std::system(cmd.c_str()), 0);
-    auto store = ReplicatingStore::Open(dir_);
+    auto store = ReplicatingStore::Open(Vfs::Default(), dir_);
     ASSERT_TRUE(store.ok()) << store.status();
     store_ = std::move(store).value();
   }
@@ -298,15 +295,27 @@ TEST_F(ReplicatingStoreTest, HandleManagement) {
   EXPECT_FALSE(store_->Extern("bad/name", MakeDynamic(Value::Int(0))).ok());
 }
 
+// A remove that fails must be reported, and the handle must stay.
+TEST(PersistTest, DropReportsFailedRemove) {
+  storage::FaultVfs vfs(0xD809);
+  auto store = ReplicatingStore::Open(&vfs, "repl");
+  ASSERT_TRUE(store.ok()) << store.status();
+  ASSERT_TRUE((*store)->Extern("h", MakeDynamic(Value::Int(1))).ok());
+  vfs.CrashAtMutatingOp(1);
+  EXPECT_EQ((*store)->Drop("h").code(), StatusCode::kIoError);
+  vfs.ClearCrash();
+  EXPECT_TRUE((*store)->HasHandle("h"));
+}
+
 // ---------------------------------------------------------------------
 // IntrinsicStore (reachability persistence; PS-algol / GemStone).
 // ---------------------------------------------------------------------
 
 TEST(IntrinsicStoreTest, HandleAloneEnsuresPersistence) {
-  ScopedPath file(TempPath("intr1"));
+  ScopedFile file(TempPath("intr1"));
   Oid db_oid;
   {
-    auto store = IntrinsicStore::Open(file.path);
+    auto store = IntrinsicStore::Open(Vfs::Default(), file.path);
     ASSERT_TRUE(store.ok()) << store.status();
     Heap& heap = (*store)->heap();
     Oid alice = heap.Allocate(Person("Alice"));
@@ -316,7 +325,7 @@ TEST(IntrinsicStoreTest, HandleAloneEnsuresPersistence) {
     ASSERT_TRUE((*store)->SetRoot("DB", db_oid).ok());
     ASSERT_TRUE((*store)->Commit().ok());
   }
-  auto store = IntrinsicStore::Open(file.path);
+  auto store = IntrinsicStore::Open(Vfs::Default(), file.path);
   ASSERT_TRUE(store.ok());
   auto root = (*store)->GetRoot("DB");
   ASSERT_TRUE(root.ok());
@@ -329,9 +338,9 @@ TEST(IntrinsicStoreTest, HandleAloneEnsuresPersistence) {
 TEST(IntrinsicStoreTest, SharingPreservedAcrossRuns) {
   // Contrast with the replicating anomaly: one object reachable from
   // two roots stays ONE object.
-  ScopedPath file(TempPath("intr2"));
+  ScopedFile file(TempPath("intr2"));
   {
-    auto store = IntrinsicStore::Open(file.path);
+    auto store = IntrinsicStore::Open(Vfs::Default(), file.path);
     ASSERT_TRUE(store.ok());
     Heap& heap = (*store)->heap();
     Oid c = heap.Allocate(Value::Int(1));
@@ -341,7 +350,7 @@ TEST(IntrinsicStoreTest, SharingPreservedAcrossRuns) {
     ASSERT_TRUE((*store)->SetRoot("b", b).ok());
     ASSERT_TRUE((*store)->Commit().ok());
   }
-  auto store = IntrinsicStore::Open(file.path);
+  auto store = IntrinsicStore::Open(Vfs::Default(), file.path);
   ASSERT_TRUE(store.ok());
   Heap& heap = (*store)->heap();
   Oid ca = heap.Get(*(*store)->GetRoot("a"))->FindField("c")->AsRef();
@@ -350,7 +359,7 @@ TEST(IntrinsicStoreTest, SharingPreservedAcrossRuns) {
   // An update through a is visible through b (after commit + reopen).
   ASSERT_TRUE(heap.Put(ca, Value::Int(99)).ok());
   ASSERT_TRUE((*store)->Commit().ok());
-  auto store2 = IntrinsicStore::Open(file.path);
+  auto store2 = IntrinsicStore::Open(Vfs::Default(), file.path);
   ASSERT_TRUE(store2.ok());
   Oid cb2 =
       (*store2)->heap().Get(*(*store2)->GetRoot("b"))->FindField("c")->AsRef();
@@ -361,10 +370,10 @@ TEST(IntrinsicStoreTest, UncommittedChangesDoNotSurvive) {
   // PS-algol's commit: "before this instruction is called, the
   // persistent value and the value being used by the program can
   // diverge".
-  ScopedPath file(TempPath("intr3"));
+  ScopedFile file(TempPath("intr3"));
   Oid obj;
   {
-    auto store = IntrinsicStore::Open(file.path);
+    auto store = IntrinsicStore::Open(Vfs::Default(), file.path);
     ASSERT_TRUE(store.ok());
     obj = (*store)->heap().Allocate(Person("committed"));
     ASSERT_TRUE((*store)->SetRoot("r", obj).ok());
@@ -373,15 +382,15 @@ TEST(IntrinsicStoreTest, UncommittedChangesDoNotSurvive) {
     ASSERT_TRUE((*store)->heap().Put(obj, Person("uncommitted")).ok());
     EXPECT_TRUE((*store)->HasUncommittedChanges());
   }
-  auto store = IntrinsicStore::Open(file.path);
+  auto store = IntrinsicStore::Open(Vfs::Default(), file.path);
   ASSERT_TRUE(store.ok());
   EXPECT_EQ(*(*store)->heap().Get(obj), Person("committed"));
   EXPECT_FALSE((*store)->HasUncommittedChanges());
 }
 
 TEST(IntrinsicStoreTest, CommitIsIncrementalAndAtomic) {
-  ScopedPath file(TempPath("intr4"));
-  auto store = IntrinsicStore::Open(file.path);
+  ScopedFile file(TempPath("intr4"));
+  auto store = IntrinsicStore::Open(Vfs::Default(), file.path);
   ASSERT_TRUE(store.ok());
   Heap& heap = (*store)->heap();
   std::vector<Oid> oids;
@@ -401,8 +410,8 @@ TEST(IntrinsicStoreTest, CommitIsIncrementalAndAtomic) {
 }
 
 TEST(IntrinsicStoreTest, GarbageCollection) {
-  ScopedPath file(TempPath("intr5"));
-  auto store = IntrinsicStore::Open(file.path);
+  ScopedFile file(TempPath("intr5"));
+  auto store = IntrinsicStore::Open(Vfs::Default(), file.path);
   ASSERT_TRUE(store.ok());
   Heap& heap = (*store)->heap();
   Oid keep = heap.Allocate(Person("keep"));
@@ -412,14 +421,14 @@ TEST(IntrinsicStoreTest, GarbageCollection) {
   EXPECT_EQ((*store)->CollectGarbage(), 2u);
   ASSERT_TRUE((*store)->Commit().ok());
   ASSERT_TRUE((*store)->CompactStorage().ok());
-  auto store2 = IntrinsicStore::Open(file.path);
+  auto store2 = IntrinsicStore::Open(Vfs::Default(), file.path);
   ASSERT_TRUE(store2.ok());
   EXPECT_EQ((*store2)->heap().size(), 1u);
 }
 
 TEST(IntrinsicStoreTest, RootManagement) {
-  ScopedPath file(TempPath("intr6"));
-  auto store = IntrinsicStore::Open(file.path);
+  ScopedFile file(TempPath("intr6"));
+  auto store = IntrinsicStore::Open(Vfs::Default(), file.path);
   ASSERT_TRUE(store.ok());
   EXPECT_EQ((*store)->GetRoot("nope").status().code(), StatusCode::kNotFound);
   EXPECT_EQ((*store)->SetRoot("r", 12345).code(), StatusCode::kNotFound);
@@ -431,13 +440,13 @@ TEST(IntrinsicStoreTest, RootManagement) {
 }
 
 TEST(IntrinsicStoreTest, SchemaEvolutionOnOpenRoot) {
-  ScopedPath file(TempPath("intr7"));
+  ScopedFile file(TempPath("intr7"));
   Type v1 = *ParseType("{Employees: Set[{Name: String}]}");
   Type v2 = *ParseType(
       "{Employees: Set[{Name: String}], Projects: Set[String]}");
   Type bad = *ParseType("{Employees: Int}");
   {
-    auto store = IntrinsicStore::Open(file.path);
+    auto store = IntrinsicStore::Open(Vfs::Default(), file.path);
     ASSERT_TRUE(store.ok());
     Oid db = (*store)->heap().Allocate(Value::RecordOf(
         {{"Employees", Value::Set({Person("A")})}}));
@@ -446,7 +455,7 @@ TEST(IntrinsicStoreTest, SchemaEvolutionOnOpenRoot) {
   }
   // Recompile with the enriched type v2: allowed; the schema evolves.
   {
-    auto store = IntrinsicStore::Open(file.path);
+    auto store = IntrinsicStore::Open(Vfs::Default(), file.path);
     ASSERT_TRUE(store.ok());
     auto oid = (*store)->OpenRootChecked("DB", v2);
     ASSERT_TRUE(oid.ok()) << oid.status();
@@ -455,7 +464,7 @@ TEST(IntrinsicStoreTest, SchemaEvolutionOnOpenRoot) {
   }
   // Opening at the original v1 still works (now a view of v2).
   {
-    auto store = IntrinsicStore::Open(file.path);
+    auto store = IntrinsicStore::Open(Vfs::Default(), file.path);
     ASSERT_TRUE(store.ok());
     EXPECT_EQ(*(*store)->RootType("DB"), v2);
     EXPECT_TRUE((*store)->OpenRootChecked("DB", v1).ok());
@@ -463,7 +472,7 @@ TEST(IntrinsicStoreTest, SchemaEvolutionOnOpenRoot) {
   }
   // A contradictory recompilation is rejected.
   {
-    auto store = IntrinsicStore::Open(file.path);
+    auto store = IntrinsicStore::Open(Vfs::Default(), file.path);
     ASSERT_TRUE(store.ok());
     EXPECT_EQ((*store)->OpenRootChecked("DB", bad).status().code(),
               StatusCode::kInconsistent);
@@ -471,7 +480,7 @@ TEST(IntrinsicStoreTest, SchemaEvolutionOnOpenRoot) {
 }
 
 TEST(DatabaseIoTest, DatabaseRoundTripsAndExtentsAreDerived) {
-  ScopedPath file(TempPath("dbio"));
+  ScopedFile file(TempPath("dbio"));
   Type person_t = *ParseType("{Name: String}");
   Type employee_t = *ParseType("{Name: String, Empno: Int}");
   dyndb::Database db;
@@ -479,11 +488,11 @@ TEST(DatabaseIoTest, DatabaseRoundTripsAndExtentsAreDerived) {
   db.MustInsertValue(Value::RecordOf(
       {{"Name", Value::String("e1")}, {"Empno", Value::Int(1)}}));
   db.MustInsertValue(Value::Int(42));
-  ASSERT_TRUE(persist::SaveSnapshot(storage::Vfs::Default(), file.path,
+  ASSERT_TRUE(persist::SaveSnapshot(Vfs::Default(), file.path,
                                     db.GetSnapshot())
                   .ok());
 
-  auto loaded = persist::LoadDatabase(storage::Vfs::Default(), file.path);
+  auto loaded = persist::LoadDatabase(Vfs::Default(), file.path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->size(), 3u);
   // Every entry round-trips with its type.
@@ -500,24 +509,24 @@ TEST(DatabaseIoTest, DatabaseRoundTripsAndExtentsAreDerived) {
 }
 
 TEST(DatabaseIoTest, CorruptDatabaseFileRejected) {
-  ScopedPath file(TempPath("dbio_bad"));
+  ScopedFile file(TempPath("dbio_bad"));
   dyndb::Database db;
   db.MustInsertValue(Value::Int(1));
-  ASSERT_TRUE(persist::SaveSnapshot(storage::Vfs::Default(), file.path,
+  ASSERT_TRUE(persist::SaveSnapshot(Vfs::Default(), file.path,
                                     db.GetSnapshot())
                   .ok());
   CorruptByte(file.path, 9);
   EXPECT_FALSE(
-      persist::LoadDatabase(storage::Vfs::Default(), file.path).ok());
-  EXPECT_EQ(persist::LoadDatabase(storage::Vfs::Default(),
+      persist::LoadDatabase(Vfs::Default(), file.path).ok());
+  EXPECT_EQ(persist::LoadDatabase(Vfs::Default(),
                                   TempPath("nonexistent")).status().code(),
             StatusCode::kNotFound);
 }
 
 TEST(IntrinsicStoreTest, CrashMidCommitRecoversPreviousState) {
-  ScopedPath file(TempPath("intr8"));
+  ScopedFile file(TempPath("intr8"));
   {
-    auto store = IntrinsicStore::Open(file.path);
+    auto store = IntrinsicStore::Open(Vfs::Default(), file.path);
     ASSERT_TRUE(store.ok());
     Oid o = (*store)->heap().Allocate(Value::Int(1));
     ASSERT_TRUE((*store)->SetRoot("r", o).ok());
@@ -526,7 +535,7 @@ TEST(IntrinsicStoreTest, CrashMidCommitRecoversPreviousState) {
   // Simulate a crash mid-commit: append object puts without a commit
   // marker, as an interrupted Commit() would leave.
   {
-    auto writer = storage::LogWriter::Open(file.path);
+    auto writer = storage::LogWriter::Open(Vfs::Default(), file.path);
     ASSERT_TRUE(writer.ok());
     ASSERT_TRUE(
         (*writer)
@@ -534,7 +543,7 @@ TEST(IntrinsicStoreTest, CrashMidCommitRecoversPreviousState) {
             .ok());
     ASSERT_TRUE((*writer)->Sync().ok());
   }
-  auto store = IntrinsicStore::Open(file.path);
+  auto store = IntrinsicStore::Open(Vfs::Default(), file.path);
   ASSERT_TRUE(store.ok()) << store.status();
   EXPECT_EQ((*store)->heap().size(), 1u);
   EXPECT_FALSE((*store)->heap().Contains(99));

@@ -15,26 +15,17 @@
 
 #include "storage/kv_store.h"
 #include "storage/paged_store.h"
+#include "test_util.h"
 
 namespace dbpl::storage {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/dbpl_ablation_" + name + "_" +
-         std::to_string(::getpid());
-}
-
-struct ScopedFile {
-  explicit ScopedFile(std::string p) : path(std::move(p)) {
-    std::remove(path.c_str());
-  }
-  ~ScopedFile() { std::remove(path.c_str()); }
-  std::string path;
-};
+using dbpl::testing::ScopedFile;
+using dbpl::testing::TempPath;
 
 TEST(PagedStoreTest, PutGetDeleteRoundTrip) {
   ScopedFile file(TempPath("basic"));
-  auto store = PagedStore::Open(file.path);
+  auto store = PagedStore::Open(Vfs::Default(), file.path);
   ASSERT_TRUE(store.ok()) << store.status();
   ASSERT_TRUE((*store)->Put("a", "1").ok());
   ASSERT_TRUE((*store)->Put("b", "2").ok());
@@ -51,14 +42,14 @@ TEST(PagedStoreTest, PutGetDeleteRoundTrip) {
 TEST(PagedStoreTest, SurvivesReopen) {
   ScopedFile file(TempPath("reopen"));
   {
-    auto store = PagedStore::Open(file.path);
+    auto store = PagedStore::Open(Vfs::Default(), file.path);
     ASSERT_TRUE(store.ok());
     ASSERT_TRUE((*store)->Put("k", "v").ok());
     ASSERT_TRUE((*store)->Put("gone", "x").ok());
     ASSERT_TRUE((*store)->Delete("gone").ok());
     ASSERT_TRUE((*store)->Flush().ok());
   }
-  auto store = PagedStore::Open(file.path);
+  auto store = PagedStore::Open(Vfs::Default(), file.path);
   ASSERT_TRUE(store.ok());
   EXPECT_EQ(*(*store)->Get("k"), "v");
   EXPECT_FALSE((*store)->Contains("gone"));
@@ -66,7 +57,7 @@ TEST(PagedStoreTest, SurvivesReopen) {
 
 TEST(PagedStoreTest, ReusesFreedPages) {
   ScopedFile file(TempPath("reuse"));
-  auto store = PagedStore::Open(file.path);
+  auto store = PagedStore::Open(Vfs::Default(), file.path);
   ASSERT_TRUE(store.ok());
   for (int i = 0; i < 16; ++i) {
     ASSERT_TRUE((*store)->Put("k" + std::to_string(i), "v").ok());
@@ -83,7 +74,7 @@ TEST(PagedStoreTest, ReusesFreedPages) {
 
 TEST(PagedStoreTest, OversizedRecordRejected) {
   ScopedFile file(TempPath("oversized"));
-  auto store = PagedStore::Open(file.path, 256);
+  auto store = PagedStore::Open(Vfs::Default(), file.path, 256);
   ASSERT_TRUE(store.ok());
   EXPECT_EQ((*store)->Put("k", std::string(1024, 'x')).code(),
             StatusCode::kInvalidArgument);
@@ -91,7 +82,7 @@ TEST(PagedStoreTest, OversizedRecordRejected) {
 
 TEST(PagedStoreTest, CacheServesRepeatedReads) {
   ScopedFile file(TempPath("cache"));
-  auto store = PagedStore::Open(file.path);
+  auto store = PagedStore::Open(Vfs::Default(), file.path);
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE((*store)->Put("hot", "value").ok());
   for (int i = 0; i < 10; ++i) {
@@ -105,7 +96,7 @@ TEST(PagedStoreTest, CacheServesRepeatedReads) {
 TEST(StorageAblationTest, PagedStoreTearsMultiRecordUpdates) {
   ScopedFile file(TempPath("torn"));
   {
-    auto store = PagedStore::Open(file.path);
+    auto store = PagedStore::Open(Vfs::Default(), file.path);
     ASSERT_TRUE(store.ok());
     ASSERT_TRUE((*store)->Put("x", "old").ok());
     ASSERT_TRUE((*store)->Put("y", "old").ok());
@@ -118,7 +109,7 @@ TEST(StorageAblationTest, PagedStoreTearsMultiRecordUpdates) {
     ASSERT_TRUE((*store)->Put("y", "new").ok());
     // crash: no flush
   }
-  auto store = PagedStore::Open(file.path);
+  auto store = PagedStore::Open(Vfs::Default(), file.path);
   ASSERT_TRUE(store.ok());
   // Torn state: x is new, y is old. No invariant can rely on the two
   // being updated together.
@@ -129,7 +120,7 @@ TEST(StorageAblationTest, PagedStoreTearsMultiRecordUpdates) {
 TEST(StorageAblationTest, KvStoreNeverTearsABatch) {
   ScopedFile file(TempPath("atomic"));
   {
-    auto store = KvStore::Open(file.path);
+    auto store = KvStore::Open(Vfs::Default(), file.path);
     ASSERT_TRUE(store.ok());
     WriteBatch init;
     init.Put("x", "old");
@@ -162,7 +153,7 @@ TEST(StorageAblationTest, KvStoreNeverTearsABatch) {
       std::fwrite(image.data(), 1, static_cast<size_t>(cut), f);
       std::fclose(f);
     }
-    auto store = KvStore::Open(scratch);
+    auto store = KvStore::Open(Vfs::Default(), scratch);
     ASSERT_TRUE(store.ok()) << "cut=" << cut;
     bool has_x = (*store)->Contains("x");
     bool has_y = (*store)->Contains("y");

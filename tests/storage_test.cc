@@ -11,26 +11,13 @@
 #include "storage/kv_store.h"
 #include "storage/log.h"
 #include "storage/pager.h"
+#include "test_util.h"
 
 namespace dbpl::storage {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/dbpl_storage_" + name + "_" +
-         std::to_string(::getpid());
-}
-
-class ScopedFile {
- public:
-  explicit ScopedFile(std::string path) : path_(std::move(path)) {
-    std::remove(path_.c_str());
-  }
-  ~ScopedFile() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
+using dbpl::testing::ScopedFile;
+using dbpl::testing::TempPath;
 
 /// Flips one byte at `offset` in the file.
 void CorruptByte(const std::string& path, off_t offset) {
@@ -61,7 +48,7 @@ off_t FileSize(const std::string& path) {
 
 TEST(PagerTest, AllocateWriteReadRoundTrip) {
   ScopedFile file(TempPath("pager1"));
-  auto pager = Pager::Open(file.path());
+  auto pager = Pager::Open(Vfs::Default(), file.path);
   ASSERT_TRUE(pager.ok()) << pager.status();
   auto page = (*pager)->Allocate();
   ASSERT_TRUE(page.ok());
@@ -75,7 +62,7 @@ TEST(PagerTest, AllocateWriteReadRoundTrip) {
 
 TEST(PagerTest, FreshPageReadsEmpty) {
   ScopedFile file(TempPath("pager2"));
-  auto pager = Pager::Open(file.path());
+  auto pager = Pager::Open(Vfs::Default(), file.path);
   ASSERT_TRUE(pager.ok());
   auto page = (*pager)->Allocate();
   ASSERT_TRUE(page.ok());
@@ -87,13 +74,13 @@ TEST(PagerTest, FreshPageReadsEmpty) {
 TEST(PagerTest, PersistsAcrossReopen) {
   ScopedFile file(TempPath("pager3"));
   {
-    auto pager = Pager::Open(file.path());
+    auto pager = Pager::Open(Vfs::Default(), file.path);
     ASSERT_TRUE(pager.ok());
     auto page = (*pager)->Allocate();
     ASSERT_TRUE((*pager)->Write(*page, {9, 9, 9}).ok());
     ASSERT_TRUE((*pager)->Sync().ok());
   }
-  auto pager = Pager::Open(file.path());
+  auto pager = Pager::Open(Vfs::Default(), file.path);
   ASSERT_TRUE(pager.ok());
   EXPECT_EQ((*pager)->page_count(), 1u);
   auto read = (*pager)->Read(0);
@@ -104,21 +91,21 @@ TEST(PagerTest, PersistsAcrossReopen) {
 TEST(PagerTest, DetectsCorruptedPage) {
   ScopedFile file(TempPath("pager4"));
   {
-    auto pager = Pager::Open(file.path());
+    auto pager = Pager::Open(Vfs::Default(), file.path);
     ASSERT_TRUE(pager.ok());
     auto page = (*pager)->Allocate();
     ASSERT_TRUE((*pager)->Write(*page, {1, 2, 3}).ok());
     ASSERT_TRUE((*pager)->Sync().ok());
   }
-  CorruptByte(file.path(), 10);  // inside the payload
-  auto pager = Pager::Open(file.path());
+  CorruptByte(file.path, 10);  // inside the payload
+  auto pager = Pager::Open(Vfs::Default(), file.path);
   ASSERT_TRUE(pager.ok());
   EXPECT_EQ((*pager)->Read(0).status().code(), StatusCode::kCorruption);
 }
 
 TEST(PagerTest, RejectsOutOfRangeAndOversize) {
   ScopedFile file(TempPath("pager5"));
-  auto pager = Pager::Open(file.path());
+  auto pager = Pager::Open(Vfs::Default(), file.path);
   ASSERT_TRUE(pager.ok());
   EXPECT_EQ((*pager)->Read(0).status().code(), StatusCode::kInvalidArgument);
   auto page = (*pager)->Allocate();
@@ -128,8 +115,9 @@ TEST(PagerTest, RejectsOutOfRangeAndOversize) {
 }
 
 TEST(PagerTest, RejectsBadGeometry) {
-  EXPECT_FALSE(Pager::Open(TempPath("pager6"), 100).ok());  // not 8-aligned
-  EXPECT_FALSE(Pager::Open(TempPath("pager7"), 32).ok());   // too small
+  // Not 8-aligned, then too small.
+  EXPECT_FALSE(Pager::Open(Vfs::Default(), TempPath("pager6"), 100).ok());
+  EXPECT_FALSE(Pager::Open(Vfs::Default(), TempPath("pager7"), 32).ok());
 }
 
 // ---------------------------------------------------------------------
@@ -138,7 +126,7 @@ TEST(PagerTest, RejectsBadGeometry) {
 
 TEST(BufferPoolTest, CachesReads) {
   ScopedFile file(TempPath("pool1"));
-  auto pager = Pager::Open(file.path());
+  auto pager = Pager::Open(Vfs::Default(), file.path);
   ASSERT_TRUE(pager.ok());
   auto page = (*pager)->Allocate();
   ASSERT_TRUE((*pager)->Write(*page, {7}).ok());
@@ -151,7 +139,7 @@ TEST(BufferPoolTest, CachesReads) {
 
 TEST(BufferPoolTest, WriteBackOnFlush) {
   ScopedFile file(TempPath("pool2"));
-  auto pager = Pager::Open(file.path());
+  auto pager = Pager::Open(Vfs::Default(), file.path);
   ASSERT_TRUE(pager.ok());
   auto page = (*pager)->Allocate();
   BufferPool pool(pager->get(), 4);
@@ -168,7 +156,7 @@ TEST(BufferPoolTest, WriteBackOnFlush) {
 
 TEST(BufferPoolTest, EvictionWritesBackDirtyPages) {
   ScopedFile file(TempPath("pool3"));
-  auto pager = Pager::Open(file.path());
+  auto pager = Pager::Open(Vfs::Default(), file.path);
   ASSERT_TRUE(pager.ok());
   std::vector<PageId> pages;
   for (int i = 0; i < 4; ++i) pages.push_back(*(*pager)->Allocate());
@@ -186,7 +174,7 @@ TEST(BufferPoolTest, EvictionWritesBackDirtyPages) {
 
 TEST(BufferPoolTest, LruKeepsHotPages) {
   ScopedFile file(TempPath("pool4"));
-  auto pager = Pager::Open(file.path());
+  auto pager = Pager::Open(Vfs::Default(), file.path);
   ASSERT_TRUE(pager.ok());
   std::vector<PageId> pages;
   for (int i = 0; i < 3; ++i) {
@@ -211,14 +199,14 @@ TEST(BufferPoolTest, LruKeepsHotPages) {
 TEST(LogTest, AppendAndReadBack) {
   ScopedFile file(TempPath("log1"));
   {
-    auto writer = LogWriter::Open(file.path());
+    auto writer = LogWriter::Open(Vfs::Default(), file.path);
     ASSERT_TRUE(writer.ok());
     ASSERT_TRUE((*writer)->Append({LogRecordType::kPut, "k1", "v1"}).ok());
     ASSERT_TRUE((*writer)->Append({LogRecordType::kDelete, "k2", ""}).ok());
     ASSERT_TRUE((*writer)->Append({LogRecordType::kCommit, "", ""}).ok());
     ASSERT_TRUE((*writer)->Sync().ok());
   }
-  auto reader = LogReader::Open(file.path());
+  auto reader = LogReader::Open(Vfs::Default(), file.path);
   ASSERT_TRUE(reader.ok());
   LogRecord r;
   ASSERT_TRUE(*(*reader)->Next(&r));
@@ -234,14 +222,14 @@ TEST(LogTest, AppendAndReadBack) {
 TEST(LogTest, TornTailDetected) {
   ScopedFile file(TempPath("log2"));
   {
-    auto writer = LogWriter::Open(file.path());
+    auto writer = LogWriter::Open(Vfs::Default(), file.path);
     ASSERT_TRUE(writer.ok());
     ASSERT_TRUE((*writer)->Append({LogRecordType::kPut, "k1", "v1"}).ok());
     ASSERT_TRUE((*writer)->Append({LogRecordType::kPut, "k2", "v2"}).ok());
     ASSERT_TRUE((*writer)->Sync().ok());
   }
-  TruncateTo(file.path(), FileSize(file.path()) - 3);
-  auto reader = LogReader::Open(file.path());
+  TruncateTo(file.path, FileSize(file.path) - 3);
+  auto reader = LogReader::Open(Vfs::Default(), file.path);
   ASSERT_TRUE(reader.ok());
   LogRecord r;
   ASSERT_TRUE(*(*reader)->Next(&r));
@@ -253,13 +241,13 @@ TEST(LogTest, TornTailDetected) {
 TEST(LogTest, BitFlipDetected) {
   ScopedFile file(TempPath("log3"));
   {
-    auto writer = LogWriter::Open(file.path());
+    auto writer = LogWriter::Open(Vfs::Default(), file.path);
     ASSERT_TRUE(writer.ok());
     ASSERT_TRUE((*writer)->Append({LogRecordType::kPut, "key", "value"}).ok());
     ASSERT_TRUE((*writer)->Sync().ok());
   }
-  CorruptByte(file.path(), 12);  // inside the body
-  auto reader = LogReader::Open(file.path());
+  CorruptByte(file.path, 12);  // inside the body
+  auto reader = LogReader::Open(Vfs::Default(), file.path);
   ASSERT_TRUE(reader.ok());
   LogRecord r;
   EXPECT_FALSE(*(*reader)->Next(&r));
@@ -269,14 +257,14 @@ TEST(LogTest, BitFlipDetected) {
 TEST(LogTest, AppendsAcrossReopen) {
   ScopedFile file(TempPath("log4"));
   for (int i = 0; i < 3; ++i) {
-    auto writer = LogWriter::Open(file.path());
+    auto writer = LogWriter::Open(Vfs::Default(), file.path);
     ASSERT_TRUE(writer.ok());
     ASSERT_TRUE(
         (*writer)->Append({LogRecordType::kPut, "k" + std::to_string(i), "v"})
             .ok());
     ASSERT_TRUE((*writer)->Sync().ok());
   }
-  auto reader = LogReader::Open(file.path());
+  auto reader = LogReader::Open(Vfs::Default(), file.path);
   ASSERT_TRUE(reader.ok());
   int count = 0;
   LogRecord r;
@@ -286,7 +274,7 @@ TEST(LogTest, AppendsAcrossReopen) {
 
 TEST(LogTest, OversizedRecordRejectedBeforeAnyBytesReachTheFile) {
   ScopedFile file(TempPath("log_oversize"));
-  auto writer = LogWriter::Open(file.path());
+  auto writer = LogWriter::Open(Vfs::Default(), file.path);
   ASSERT_TRUE(writer.ok());
   ASSERT_TRUE((*writer)->Append({LogRecordType::kPut, "k1", "v1"}).ok());
   const uint64_t bytes_before = (*writer)->bytes_written();
@@ -309,7 +297,7 @@ TEST(LogTest, OversizedRecordRejectedBeforeAnyBytesReachTheFile) {
   // returns, with a clean (not corrupt) end of log.
   ASSERT_TRUE((*writer)->Append({LogRecordType::kPut, "k2", "v2"}).ok());
   ASSERT_TRUE((*writer)->Sync().ok());
-  auto reader = LogReader::Open(file.path());
+  auto reader = LogReader::Open(Vfs::Default(), file.path);
   ASSERT_TRUE(reader.ok());
   LogRecord r;
   ASSERT_TRUE(*(*reader)->Next(&r));
@@ -497,7 +485,7 @@ TEST(LogTest, CursorPastPoisonedWriterTailStopsAtLastGoodFrame) {
 
 TEST(KvStoreTest, PutGetDelete) {
   ScopedFile file(TempPath("kv1"));
-  auto store = KvStore::Open(file.path());
+  auto store = KvStore::Open(Vfs::Default(), file.path);
   ASSERT_TRUE(store.ok()) << store.status();
   WriteBatch batch;
   batch.Put("a", "1");
@@ -517,13 +505,13 @@ TEST(KvStoreTest, PutGetDelete) {
 TEST(KvStoreTest, SurvivesReopen) {
   ScopedFile file(TempPath("kv2"));
   {
-    auto store = KvStore::Open(file.path());
+    auto store = KvStore::Open(Vfs::Default(), file.path);
     ASSERT_TRUE(store.ok());
     WriteBatch batch;
     batch.Put("persistent", "yes");
     ASSERT_TRUE((*store)->Apply(batch).ok());
   }
-  auto store = KvStore::Open(file.path());
+  auto store = KvStore::Open(Vfs::Default(), file.path);
   ASSERT_TRUE(store.ok());
   EXPECT_EQ(*(*store)->Get("persistent"), "yes");
   EXPECT_EQ((*store)->recovery_info().batches_committed, 1u);
@@ -532,7 +520,7 @@ TEST(KvStoreTest, SurvivesReopen) {
 TEST(KvStoreTest, UncommittedTailDroppedAtRecovery) {
   ScopedFile file(TempPath("kv3"));
   {
-    auto store = KvStore::Open(file.path());
+    auto store = KvStore::Open(Vfs::Default(), file.path);
     ASSERT_TRUE(store.ok());
     WriteBatch batch;
     batch.Put("committed", "1");
@@ -540,13 +528,13 @@ TEST(KvStoreTest, UncommittedTailDroppedAtRecovery) {
   }
   // Simulate a crash mid-batch: append puts with no commit marker.
   {
-    auto writer = LogWriter::Open(file.path());
+    auto writer = LogWriter::Open(Vfs::Default(), file.path);
     ASSERT_TRUE(writer.ok());
     ASSERT_TRUE(
         (*writer)->Append({LogRecordType::kPut, "uncommitted", "x"}).ok());
     ASSERT_TRUE((*writer)->Sync().ok());
   }
-  auto store = KvStore::Open(file.path());
+  auto store = KvStore::Open(Vfs::Default(), file.path);
   ASSERT_TRUE(store.ok());
   EXPECT_TRUE((*store)->Contains("committed"));
   EXPECT_FALSE((*store)->Contains("uncommitted"));
@@ -556,7 +544,7 @@ TEST(KvStoreTest, UncommittedTailDroppedAtRecovery) {
 TEST(KvStoreTest, TornFinalRecordRecovers) {
   ScopedFile file(TempPath("kv4"));
   {
-    auto store = KvStore::Open(file.path());
+    auto store = KvStore::Open(Vfs::Default(), file.path);
     ASSERT_TRUE(store.ok());
     WriteBatch b1;
     b1.Put("a", "1");
@@ -566,8 +554,8 @@ TEST(KvStoreTest, TornFinalRecordRecovers) {
     ASSERT_TRUE((*store)->Apply(b2).ok());
   }
   // Tear the last few bytes (the second batch's commit marker).
-  TruncateTo(file.path(), FileSize(file.path()) - 2);
-  auto store = KvStore::Open(file.path());
+  TruncateTo(file.path, FileSize(file.path) - 2);
+  auto store = KvStore::Open(Vfs::Default(), file.path);
   ASSERT_TRUE(store.ok());
   EXPECT_TRUE((*store)->Contains("a"));
   EXPECT_FALSE((*store)->Contains("b"));
@@ -577,7 +565,7 @@ TEST(KvStoreTest, TornFinalRecordRecovers) {
 TEST(KvStoreTest, BatchIsAtomicAtRecovery) {
   ScopedFile file(TempPath("kv5"));
   {
-    auto store = KvStore::Open(file.path());
+    auto store = KvStore::Open(Vfs::Default(), file.path);
     ASSERT_TRUE(store.ok());
     WriteBatch batch;
     batch.Put("x", "1");
@@ -586,8 +574,8 @@ TEST(KvStoreTest, BatchIsAtomicAtRecovery) {
     ASSERT_TRUE((*store)->Apply(batch).ok());
   }
   // Cut in the middle of the batch: none of it may survive.
-  TruncateTo(file.path(), FileSize(file.path()) / 2);
-  auto store = KvStore::Open(file.path());
+  TruncateTo(file.path, FileSize(file.path) / 2);
+  auto store = KvStore::Open(Vfs::Default(), file.path);
   ASSERT_TRUE(store.ok());
   EXPECT_FALSE((*store)->Contains("x"));
   EXPECT_FALSE((*store)->Contains("y"));
@@ -597,7 +585,7 @@ TEST(KvStoreTest, BatchIsAtomicAtRecovery) {
 
 TEST(KvStoreTest, CompactPreservesStateAndShrinksLog) {
   ScopedFile file(TempPath("kv6"));
-  auto store = KvStore::Open(file.path());
+  auto store = KvStore::Open(Vfs::Default(), file.path);
   ASSERT_TRUE(store.ok());
   // Overwrite the same keys many times.
   for (int i = 0; i < 50; ++i) {
@@ -606,22 +594,22 @@ TEST(KvStoreTest, CompactPreservesStateAndShrinksLog) {
     batch.Put("warm", std::to_string(i * 2));
     ASSERT_TRUE((*store)->Apply(batch).ok());
   }
-  off_t before = FileSize(file.path());
+  off_t before = FileSize(file.path);
   ASSERT_TRUE((*store)->Compact().ok());
-  off_t after = FileSize(file.path());
+  off_t after = FileSize(file.path);
   EXPECT_LT(after, before / 4);
   EXPECT_EQ(*(*store)->Get("hot"), "49");
   EXPECT_EQ(*(*store)->Get("warm"), "98");
   // And the compacted log still replays.
   store->reset();
-  auto reopened = KvStore::Open(file.path());
+  auto reopened = KvStore::Open(Vfs::Default(), file.path);
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ(*(*reopened)->Get("hot"), "49");
 }
 
 TEST(KvStoreTest, KeysWithPrefix) {
   ScopedFile file(TempPath("kv7"));
-  auto store = KvStore::Open(file.path());
+  auto store = KvStore::Open(Vfs::Default(), file.path);
   ASSERT_TRUE(store.ok());
   WriteBatch batch;
   batch.Put("o/1", "a");
@@ -637,7 +625,7 @@ TEST(KvStoreTest, KeysWithPrefix) {
 
 TEST(KvStoreTest, EmptyBatchIsNoOp) {
   ScopedFile file(TempPath("kv8"));
-  auto store = KvStore::Open(file.path());
+  auto store = KvStore::Open(Vfs::Default(), file.path);
   ASSERT_TRUE(store.ok());
   WriteBatch batch;
   ASSERT_TRUE((*store)->Apply(batch).ok());

@@ -1,7 +1,11 @@
 #ifndef DBPL_TESTS_TEST_UTIL_H_
 #define DBPL_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -10,6 +14,21 @@
 #include "types/type.h"
 
 namespace dbpl::testing {
+
+/// A scratch path private to this process: `<gtest TempDir>/dbpl_<name>_<pid>`.
+inline std::string TempPath(const std::string& name) {
+  return ::testing::TempDir() + "/dbpl_" + name + "_" +
+         std::to_string(::getpid());
+}
+
+/// Removes the file at `path` on construction and on scope exit.
+struct ScopedFile {
+  explicit ScopedFile(std::string p) : path(std::move(p)) {
+    std::remove(path.c_str());
+  }
+  ~ScopedFile() { std::remove(path.c_str()); }
+  std::string path;
+};
 
 /// Reduces `vs` to an antichain under the information order by dropping
 /// any element strictly above another. Generated set values must be
